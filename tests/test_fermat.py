@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import viviani.fermat as fermat
 from viviani import (
     CoincidesWithAnchor,
     DimensionMismatch,
@@ -15,7 +16,7 @@ from viviani import (
     total_distance,
 )
 
-from helpers import equilateral_triangle, rotation_2d
+from helpers import equilateral_triangle, random_unit, rotation_2d
 
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -233,3 +234,97 @@ class TestSolverProperties:
             assert res.status is MedianStatus.ANCHOR_OPTIMUM
             assert res.anchor_index == 0
             assert np.allclose(res.point, apex)
+
+
+def _exhaustive_anchor(pts, eta):
+    """Reference for the pruned scan: test every anchor in index order."""
+    for idx in range(pts.shape[0]):
+        rnorm, mult, _ = fermat._anchor_certificate(pts, idx, eta)
+        if rnorm <= mult + fermat.ANCHOR_SLACK:
+            return idx
+    return None
+
+
+def _units(rng, m, n):
+    v = rng.normal(size=(m, n))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _scan_instance(rng, family, n):
+    k = int(rng.integers(3, 40))
+    if family == "cloud":
+        pts = rng.normal(size=(k, n))
+    elif family == "duplicates":
+        # m + 1 copies of one point against m + 0..2 others
+        m = int(rng.integers(1, 5))
+        pts = np.vstack([np.repeat(rng.normal(size=(1, n)), m + 1, axis=0),
+                         rng.normal(size=(m + int(rng.integers(0, 3)), n))])
+    elif family == "valley":
+        t = np.sort(rng.uniform(-1, 1, size=k))
+        wobble = 10 ** rng.uniform(-8, -2)
+        pts = np.outer(t, random_unit(rng, n)) + wobble * rng.normal(size=(k, n))
+    elif family == "star":
+        # a centre with nearly opposite spokes: the centre is often optimal
+        half = k // 2 + 1
+        v = _units(rng, half, n)
+        w = -v + rng.uniform(0, 0.3) * rng.normal(size=v.shape)
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        c = rng.normal(size=n)
+        pts = np.vstack([c, c + v * rng.uniform(0.2, 3, size=(half, 1)),
+                         c + w * rng.uniform(0.2, 3, size=(half, 1))])
+    else:  # ring around a centre point
+        c = rng.normal(size=n)
+        pts = np.vstack([c, c + _units(rng, k, n) * rng.uniform(0.5, 1.5)])
+    return rng.permutation(pts * 10 ** rng.uniform(-3, 3))
+
+
+class TestAnchorScan:
+    FAMILIES = ("cloud", "duplicates", "valley", "star", "ring")
+
+    def test_pruned_scan_matches_exhaustive(self):
+        rng = np.random.default_rng(20)
+        found = 0
+        for trial in range(100):
+            n = int(rng.choice([2, 3, 5]))
+            pts = _scan_instance(rng, self.FAMILIES[trial % 5], n)
+            spread = fermat._spread(pts)
+            eta = fermat.ANCHOR_ETA * spread
+            expected = _exhaustive_anchor(pts, eta)
+            found += expected is not None
+            median = geometric_median(pts).point
+            probes = [median + 10 ** rng.uniform(-12, 0) * spread * random_unit(rng, n)
+                      for _ in range(3)]
+            probes.append(pts.mean(axis=0))
+            i = int(rng.integers(pts.shape[0]))
+            probes.append(pts[i] + 1e-9 * spread * random_unit(rng, n))
+            for X in probes:
+                near = int(np.argmin(np.linalg.norm(pts - X, axis=1)))
+                hit = fermat._certified_anchor(pts, X, eta, near)
+                assert (None if hit is None else hit[0]) == expected
+        assert 20 <= found <= 80  # both outcomes are exercised
+
+    def test_rescue_tests_few_anchors(self, monkeypatch):
+        calls = []
+        certificate = fermat._anchor_certificate
+
+        def counted(*args):
+            calls.append(args[1])
+            return certificate(*args)
+
+        monkeypatch.setattr(fermat, "_anchor_certificate", counted)
+        pts = np.random.default_rng(0).normal(size=(2000, 3))
+        res = geometric_median(pts)
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert len(calls) <= 10
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("seed, k", [(6, 5000), (11, 2000)])
+    def test_polish_ends_without_stalling(self, seed, k):
+        pts = np.random.default_rng(seed).normal(size=(k, 3))
+        res = geometric_median(pts, record_history=True)
+        h = np.array(res.history)
+        assert len(h) <= 30
+        assert np.all(np.diff(h) <= 1e-12)
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert np.linalg.norm(direction_sum_at(res.point, pts)) <= fermat.RESIDUAL_TARGET
