@@ -237,7 +237,9 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     than the rounding of ``f`` itself (about 1e-19 against 1e-12 at
     k = 10^4), so a difference of two rounded sums only measures noise and
     the search would halve the step until its budget ran out.  ``history``
-    still records the plain sums.
+    still records the plain sums.  When ``X + t p`` rounds back to ``X`` in
+    every coordinate, no smaller ``t`` can move it either, so the polish
+    returns ``X`` at once instead of halving on.
     """
     n = pts.shape[1]
     eye = np.eye(n)
@@ -263,6 +265,10 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         t = 1.0
         for _ in range(60):
             Xn = X + t * p
+            if np.array_equal(Xn, X):
+                # the step is below the float spacing at X; halving t
+                # cannot move any coordinate either
+                return X
             s = Xn - X
             dn = np.linalg.norm(pts - Xn, axis=1)
             df = float(((s @ s - 2.0 * (diff @ s)) / (dn + d)).sum())

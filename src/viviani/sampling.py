@@ -12,6 +12,16 @@ a library whose stream may change:
 * a point stream of dimension n emits coordinates point-major:
   point 0's n coordinates, then point 1's, and so on, each mapped to
   ``lo + u * (hi - lo)``.
+
+``Lcg64`` is the one-step definition.  ``sample_points`` generates a whole
+stream in bulk by jump-ahead and returns exactly the numbers the one-step
+recurrence gives: the map of ``2^j`` steps is again affine,
+``state <- a_j * state + c_j (mod 2^64)`` with ``a_{j+1} = a_j^2`` and
+``c_{j+1} = a_j c_j + c_j``, so applying it to the first ``2^j`` states
+yields the next ``2^j``.  The states are a ``uint64`` array whose multiply
+and add wrap mod 2^64, and ``(state >> 11)`` converts to a float exactly.
+This is F. B. Brown's jump-ahead ("Random Number Generation with Arbitrary
+Strides", Trans. Am. Nucl. Soc. 71, 1994) used as a doubling fill.
 """
 
 from __future__ import annotations
@@ -41,10 +51,24 @@ class Lcg64:
 
 def sample_points(dimension: int, count: int, seed: int,
                   lo: float, hi: float) -> np.ndarray:
-    """(count, dimension) array of LCG-uniform points in [lo, hi]^dimension."""
-    gen = Lcg64(seed)
-    out = np.empty((count, dimension))
-    for i in range(count):
-        for j in range(dimension):
-            out[i, j] = gen.uniform(lo, hi)
-    return out
+    """(count, dimension) array of LCG-uniform points in [lo, hi]^dimension.
+
+    Bit for bit the stream of ``Lcg64(seed).uniform(lo, hi)``, point-major,
+    filled by doubling in log2(count * dimension) array operations.
+    """
+    if count < 0 or dimension < 0:
+        raise ValueError("count and dimension must be non-negative")
+    m = count * dimension
+    states = np.empty(m, dtype=np.uint64)
+    if m:
+        states[0] = (_MULT * (int(seed) & _MASK) + _INC) & _MASK
+        a, c = _MULT, _INC  # the map of `filled` steps
+        filled = 1
+        while filled < m:
+            take = min(filled, m - filled)
+            states[filled:filled + take] = (states[:take] * np.uint64(a)
+                                            + np.uint64(c))
+            a, c = (a * a) & _MASK, (a * c + c) & _MASK
+            filled += take
+    u = (states >> np.uint64(11)).astype(np.float64) * _INV53
+    return (lo + u * (hi - lo)).reshape(count, dimension)

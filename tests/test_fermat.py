@@ -328,3 +328,31 @@ class TestNewtonPolish:
         assert np.all(np.diff(h) <= 1e-12)
         assert res.status is MedianStatus.INTERIOR_OPTIMUM
         assert np.linalg.norm(direction_sum_at(res.point, pts)) <= fermat.RESIDUAL_TARGET
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_polish_stops_below_float_spacing(self, seed, monkeypatch):
+        # Neighbouring floats near 1e12 are 1.2e-4 apart, so the polish soon
+        # proposes steps that round back to X.  It must give up at once
+        # instead of halving the step 60 times on each of its attempts.
+        pts = np.random.default_rng(seed).normal(size=(7, 2)) + 1e12
+        norm = np.linalg.norm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return norm(*args, **kwargs)
+
+        polish = fermat._newton_polish
+        changes = []
+
+        def watched(pts, X, *args):
+            Y = polish(pts, X, *args)
+            before = norm(pts - X, axis=1).sum()
+            changes.append(norm(pts - Y, axis=1).sum() - before)
+            return Y
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        monkeypatch.setattr(fermat, "_newton_polish", watched)
+        geometric_median(pts)
+        assert len(calls) <= 150
+        assert changes and max(changes) <= 0.0
