@@ -8,23 +8,21 @@ toward the other points have a sum of norm at most 1.  Both conditions are
 computed and reported as the ``residual`` of the returned result, so every
 answer carries a numerical certificate.
 
-The solver is Weiszfeld fixed-point iteration (points re-weighted by
-inverse distance), started at the centroid, with three safeguards: iterates
-landing on an input point are either certified as the anchor optimum or
-pushed one tiny step along the descent direction; exactly collinear inputs
-are routed to a closed-form 1-D median; and stalls short of the interior
-certificate fall back to testing the anchors' own optimality conditions
-plus a damped Newton polish (see ``geometric_median``).  The objective is
-non-increasing along the iteration.
+The solver is Weiszfeld fixed-point iteration from the centroid, used only
+to globalise: whenever a step fails to shrink by ``SLOW_RATIO``, and at
+convergence, the certificates (interior, then the anchors') are tried, then
+a damped Newton polish with a bounded line search.  Iterates landing on an
+input point are certified as the anchor optimum or pushed one tiny step
+along the descent direction; exactly collinear inputs get a closed-form 1-D
+median.  The objective is non-increasing up to rounding; at a +1e12 offset
+the two kinds of step can trade the iterate between neighbouring floats.
 
 The rescue stays cheap at large k.  The anchor test costs O(k n) per
 anchor, so the scan first drops every anchor that a proven lower bound on
 its objective, taken from the spokes at the current iterate, places above
 what any passing anchor can reach (``_certified_anchor``).  Only the few
 anchors near the iterate remain, and the answer is still the first passing
-anchor in index order.  The Newton polish judges its steps by an objective
-change summed term by term, which does not cancel, so it can still tell
-descent from rounding when the step lowers ``f`` by 1e-19.
+anchor in index order.
 """
 
 from __future__ import annotations
@@ -48,6 +46,10 @@ RESIDUAL_TARGET = 5e-10
 ANCHOR_ETA = 1e-12
 #: Collinearity threshold on the singular-value ratio of the centered points.
 COLLINEAR_RATIO = 1e-12
+#: A fixed-point step longer than this times the one before it is a slow-down.
+SLOW_RATIO = 0.3
+#: Armijo trials per Newton step before the polish hands back.
+LINE_SEARCH_TRIALS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +96,8 @@ class MedianResult:
     sum at the point for interior optima (contract: <= k*1e-8), the
     direction sum over the other points for anchor optima (contract:
     <= multiplicity + 1e-9), and 0.0 for the collinear closed form.
-    ``history`` holds the objective after each iterate when requested.
+    ``iterations`` counts fixed-point steps and capture restarts, not Newton
+    steps; ``history`` holds the objective after each iterate when requested.
     """
 
     point: np.ndarray
@@ -228,8 +231,11 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     valley (almost-collinear inputs), where its contraction rate degrades to
     1 - O(valley width squared).  The Hessian ``sum (I - u u^T) / d`` is
     built as ``(sum 1/d) I - (u/d)^T u``, one matmul.  Armijo backtracking
-    keeps the objective strictly non-increasing; stops early near an anchor
-    so the caller's capture logic stays in charge.
+    keeps the objective non-increasing.  Its first trial goes at most half
+    way to the nearest point ahead, whose ``1/d`` curvature the quadratic
+    model misses; a step still failing after ``LINE_SEARCH_TRIALS`` trials
+    is being pulled toward an anchor, and the polish hands back to the
+    caller, as it does near an anchor.
 
     The Armijo test takes the change of the objective term by term, as
     ``sum (|s|^2 - 2 (p_j - X).s) / (|p_j - X - s| + |p_j - X|)`` for the
@@ -262,8 +268,10 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         slope = float(grad @ p)
         if slope >= 0.0:
             break
-        t = 1.0
-        for _ in range(60):
+        reach = 0.5 * float(np.min(d, where=diff @ p > 0.0, initial=np.inf))
+        length = float(np.linalg.norm(p))
+        t = reach / length if length > reach else 1.0
+        for _ in range(LINE_SEARCH_TRIALS):
             Xn = X + t * p
             if np.array_equal(Xn, X):
                 # the step is below the float spacing at X; halving t
@@ -308,18 +316,20 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                      record_history: bool = False) -> MedianResult:
     """Minimize the distance sum to the points of ``A``.
 
-    ``tol`` is the relative step-length stopping threshold; iteration also
-    continues until the interior certificate reaches ``RESIDUAL_TARGET`` or
-    ``max_iter`` is exhausted (in which case the best iterate is returned
-    with its residual, never an error).  Deterministic for fixed input.
+    ``tol`` is the relative step-length stopping threshold.  Each slow or
+    converged step is certified if it can be, else polished (at most eight
+    polishes); a converged iterate with no polish left, or the last one at
+    ``max_iter``, is returned with its residual, never an error.
+    Deterministic for fixed input.
     """
     pts = _as_points(A)
     k, n = pts.shape
     if tol <= 0.0:
         raise VivianiError("tol must be positive")
     history: list[float] | None = [] if record_history else None
+    iterations = 0
 
-    def finish(point, status, residual, iterations, anchor_index=None):
+    def finish(point, status, residual, anchor_index=None):
         p = np.array(point, dtype=float)
         p.flags.writeable = False
         return MedianResult(
@@ -335,20 +345,42 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     spread = _spread(pts)
     if k == 1 or spread == 0.0:
         # single point, or k coincident copies of one point
-        return finish(pts[0], MedianStatus.ANCHOR_OPTIMUM, 0.0, 0, anchor_index=0)
+        return finish(pts[0], MedianStatus.ANCHOR_OPTIMUM, 0.0, anchor_index=0)
 
     eta = ANCHOR_ETA * spread
 
     if _is_collinear(pts):
         point = _collinear_median(pts)
-        return finish(point, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0, 0)
+        return finish(point, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0)
+
+    def record(x):
+        if history is not None:
+            history.append(total_distance(x, pts))
+
+    def anchor(idx, rnorm):
+        record(pts[idx])
+        return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm, idx)
+
+    def settle(X, d, final):
+        # The one place that chooses between an interior and an anchor
+        # answer at X (distances d), in that order.  None if neither holds,
+        # unless final: then X is returned with its residual.
+        j = int(np.argmin(d))
+        if d[j] <= eta:
+            r, _, _ = _anchor_certificate(pts, j, eta)
+        else:
+            r = float(np.linalg.norm(((pts - X) / d[:, None]).sum(axis=0)))
+            if r <= RESIDUAL_TARGET:
+                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r)
+        hit = _certified_anchor(pts, X, eta, j)
+        if hit is not None:
+            return anchor(*hit)
+        return finish(X, MedianStatus.INTERIOR_OPTIMUM, r) if final else None
 
     X = pts.mean(axis=0)
-    if history is not None:
-        history.append(total_distance(X, pts))
-
-    iterations = 0
+    record(X)
     polish_attempts = 0
+    last_step = np.inf
     for iterations in range(1, max_iter + 1):
         diff = pts - X
         d = np.linalg.norm(diff, axis=1)
@@ -356,65 +388,31 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         if d[imin] <= eta:
             rnorm, mult, R = _anchor_certificate(pts, imin, eta)
             if rnorm <= mult + ANCHOR_SLACK:
-                if history is not None:
-                    history.append(total_distance(pts[imin], pts))
-                return finish(pts[imin], MedianStatus.ANCHOR_OPTIMUM, rnorm,
-                              iterations, anchor_index=imin)
+                return anchor(imin, rnorm)
             # not optimal: restart one tiny step along the descent direction
             X = pts[imin] + (eta * 1e3) * R
-            if history is not None:
-                history.append(total_distance(X, pts))
+            record(X)
             continue
         w = 1.0 / d
         Xn = (w @ pts) / w.sum()
         step = float(np.linalg.norm(Xn - X))
         X = Xn
-        if history is not None:
-            history.append(total_distance(X, pts))
+        record(X)
         xscale = 1.0 + float(np.linalg.norm(X))
         converged = step <= tol * xscale
-        if converged or iterations % 250 == 0:
+        slow = step > SLOW_RATIO * last_step
+        last_step = step
+        if converged or slow:
+            last_step = np.inf
             dn = np.linalg.norm(pts - X, axis=1)
-            jmin = int(np.argmin(dn))
-            if dn[jmin] <= eta:
-                continue  # anchor branch will handle it next pass
-            r = float(np.linalg.norm(((pts - X) / dn[:, None]).sum(axis=0)))
-            if r <= RESIDUAL_TARGET:
-                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, iterations)
-            # Short of the certificate, either at a tiny step (jammed
-            # against an uncapturable anchor) or after 250 rounds without
-            # converging (flat-valley crawl).  Two sound rescues: an anchor
-            # passing its own condition is the global optimum of this
-            # convex objective, no iterate needs to reach it; and a Newton
-            # polish converges in the nearly flat valleys where the
-            # fixed-point contraction degrades to ~1.
-            hit = _certified_anchor(pts, X, eta, jmin)
-            if hit is not None:
-                idx, rnorm = hit
-                if history is not None:
-                    history.append(total_distance(pts[idx], pts))
-                return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm,
-                              iterations, anchor_index=idx)
+            if float(dn.min()) <= eta:
+                continue  # the capture branch takes it on the next pass
+            done = settle(X, dn, final=converged and polish_attempts >= 8)
+            if done is not None:
+                return done
             if polish_attempts < 8:
                 polish_attempts += 1
                 X = _newton_polish(pts, X, eta, history)
-                continue
-            if converged:
-                # neither certificate is attainable: report honestly
-                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, iterations)
 
     # max_iter exhausted: certify what the last iterate allows
-    d = np.linalg.norm(pts - X, axis=1)
-    imin = int(np.argmin(d))
-    hit = _certified_anchor(pts, X, eta, imin)
-    if hit is not None:
-        idx, rnorm = hit
-        if history is not None:
-            history.append(total_distance(pts[idx], pts))
-        return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm,
-                      iterations, anchor_index=idx)
-    if d[imin] <= eta:
-        rnorm, _, _ = _anchor_certificate(pts, imin, eta)
-        return finish(X, MedianStatus.INTERIOR_OPTIMUM, rnorm, iterations)
-    r = float(np.linalg.norm(((pts - X) / d[:, None]).sum(axis=0)))
-    return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, iterations)
+    return settle(X, np.linalg.norm(pts - X, axis=1), final=True)

@@ -21,6 +21,20 @@ from helpers import equilateral_triangle, random_unit, rotation_2d
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
+def count_norm_calls(monkeypatch) -> list:
+    """Count ``np.linalg.norm`` calls from here on: the solver's distance
+    evaluations, one per call whatever its batch."""
+    norm = np.linalg.norm
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
 class TestPointSet:
     def test_requires_points(self):
         with pytest.raises(VivianiError):
@@ -161,6 +175,20 @@ class TestSolverProperties:
             res = geometric_median(pts, record_history=True)
             h = np.array(res.history)
             assert np.all(np.diff(h) <= 1e-12)
+
+    def test_acceptance_instances_take_little_work(self, monkeypatch):
+        # The rescue runs as soon as the fixed-point step slows, so these
+        # end after a handful of steps instead of crawling to convergence.
+        rng = np.random.default_rng(2024)
+        calls = count_norm_calls(monkeypatch)
+        histories = []
+        for _ in range(200):
+            k = int(rng.integers(3, 9))
+            pts = rng.uniform(-1.0, 1.0, size=(k, 2))
+            histories.append(geometric_median(pts, record_history=True).history)
+        assert len(calls) <= 15000
+        for h in histories:
+            assert np.all(np.diff(h) <= 1e-12)  # non-increasing up to rounding
 
     def test_interior_certificate(self):
         rng = np.random.default_rng(14)
@@ -336,12 +364,6 @@ class TestNewtonPolish:
         # instead of halving the step 60 times on each of its attempts.
         pts = np.random.default_rng(seed).normal(size=(7, 2)) + 1e12
         norm = np.linalg.norm
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return norm(*args, **kwargs)
-
         polish = fermat._newton_polish
         changes = []
 
@@ -351,8 +373,38 @@ class TestNewtonPolish:
             changes.append(norm(pts - Y, axis=1).sum() - before)
             return Y
 
-        monkeypatch.setattr(np.linalg, "norm", counted)
         monkeypatch.setattr(fermat, "_newton_polish", watched)
+        calls = count_norm_calls(monkeypatch)
         geometric_median(pts)
         assert len(calls) <= 150
         assert changes and max(changes) <= 0.0
+
+    def test_anchor_crawl_ends_in_few_evaluations(self, monkeypatch):
+        # Weiszfeld contracts slowly here, and a Newton step started early
+        # is pulled toward a non-optimal anchor by its 1/d curvature: with
+        # no cap on its line search it zig-zags in at 20-30 halvings a step.
+        pts = np.array([[0.20035193, 1.10638436], [-0.38464513, -0.37840187],
+                        [0.03263215, 0.72138213], [1.10574733, -0.61397436],
+                        [-0.61100375, 0.48235737], [0.42739118, 0.88109948]])
+        calls = count_norm_calls(monkeypatch)
+        res = geometric_median(pts)
+        evaluations = len(calls)
+        monkeypatch.undo()
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert np.linalg.norm(direction_sum_at(res.point, pts)) <= len(pts) * 1e-8
+        assert evaluations <= 100
+
+    def test_optimum_beside_a_close_pair(self, monkeypatch):
+        # The optimum lies 6e-5 from a pair of points 2.2e-5 apart.  Weiszfeld
+        # crawls toward the pair, and full Newton steps overshoot it by far
+        # more than a few halvings can correct; the first trial has to stop
+        # short of the pair for the polish to get there.
+        pts = np.array([[0.06938911, -0.44405775], [-0.14658296, -0.34541768],
+                        [-0.37095435, 0.80772057], [-0.37093939, 0.80770428]])
+        calls = count_norm_calls(monkeypatch)
+        res = geometric_median(pts)
+        evaluations = len(calls)
+        monkeypatch.undo()
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert np.linalg.norm(direction_sum_at(res.point, pts)) <= len(pts) * 1e-8
+        assert evaluations <= 150
