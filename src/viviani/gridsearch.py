@@ -1,10 +1,17 @@
-"""Brute-force planar 1-median by exhaustive grid scan.
+"""Planar 1-median by grid scan: the reference that cross-checks the solver.
 
-This is the slow, dumb reference used to cross-check the iterative solver:
-it shares no code path with Weiszfeld iteration.  The initial grid covers
+It shares no code path with Weiszfeld iteration.  The initial grid covers
 the bounding box of the input points (the minimizer lies in their convex
 hull) at the requested step; each refinement round re-scans a +/-2-cell
 window around the incumbent at 10x resolution.
+
+Each scan is ``kernels.grid_min_2d``, a pruned scan that is exact with
+respect to the full one.  The distance sum is k-Lipschitz, so a block of
+cells whose centre value, less k times the distance to its farthest cell and
+a rounding margin 2δ, still lies strictly above the best value found so far
+holds no minimum and is skipped.  Cells tied at the minimum are never
+skipped, so value and cell are those of a scan of every cell, bit for bit.
+The bound, δ and the tie argument are stated in ``kernels``.
 """
 
 from __future__ import annotations

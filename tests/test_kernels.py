@@ -1,7 +1,8 @@
-"""Backend agreement and grid-search sanity.
+"""The pruned grid kernel against the exhaustive scan, and grid-search sanity.
 
-The compiled and numpy kernels must be interchangeable; correctness of the
-scan itself is checked against tiny cases evaluated in the obvious way.
+``grid_min_2d`` skips blocks of cells by a bound; it must still return the
+full scan's value and cell bit for bit, ties included.  The full scan is kept
+here as the reference.
 """
 
 import math
@@ -9,17 +10,40 @@ import math
 import numpy as np
 import pytest
 
-from viviani import _gridmin_py, grid_median, kernels
+from viviani import grid_median
 from viviani.errors import DimensionMismatch
+from viviani.kernels import grid_min_2d
 
-try:
-    from viviani import _gridmin
-except ImportError:
-    _gridmin = None
+_ROW_CHUNK = 64
 
-BACKENDS = [("python", _gridmin_py.grid_min_2d)]
-if _gridmin is not None:
-    BACKENDS.append(("compiled", _gridmin.grid_min_2d))
+
+def exhaustive_scan(px, py, x0, y0, nx, ny, step):
+    """Minimize sum_j dist((x0+ix*step, y0+iy*step), (px[j], py[j])).
+
+    Returns ``(best_value, best_ix, best_iy)``.
+    """
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    if px.size == 0 or nx <= 0 or ny <= 0:
+        raise ValueError("need at least one point and a nonempty grid")
+    xs = x0 + step * np.arange(nx)
+    best = np.inf
+    best_ix = best_iy = 0
+    for row0 in range(0, ny, _ROW_CHUNK):
+        rows = min(_ROW_CHUNK, ny - row0)
+        ys = y0 + step * np.arange(row0, row0 + rows)
+        acc = np.zeros((rows, nx))
+        for j in range(px.size):
+            dx = xs - px[j]
+            dy = ys - py[j]
+            acc += np.sqrt(dx * dx + (dy * dy)[:, None])
+        flat = int(np.argmin(acc))
+        val = float(acc.flat[flat])
+        if val < best:
+            best = val
+            best_iy = row0 + flat // nx
+            best_ix = flat % nx
+    return best, best_ix, best_iy
 
 
 def naive_scan(px, py, x0, y0, nx, ny, step):
@@ -33,39 +57,95 @@ def naive_scan(px, py, x0, y0, nx, ny, step):
     return best, bix, biy
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_matches_naive_scan(name, impl):
+def assert_exact(px, py, x0, y0, nx, ny, step):
+    got = grid_min_2d(px, py, x0, y0, nx, ny, step)
+    want = exhaustive_scan(px, py, x0, y0, nx, ny, step)
+    assert got == want
+    assert type(got[0]) is float
+    return got
+
+
+def test_matches_naive_scan():
     rng = np.random.default_rng(0)
     for _ in range(5):
         k = int(rng.integers(1, 6))
         px = rng.uniform(-1, 1, size=k)
         py = rng.uniform(-1, 1, size=k)
-        got = impl(px, py, -0.5, -0.25, 7, 9, 0.17)
+        got = grid_min_2d(px, py, -0.5, -0.25, 7, 9, 0.17)
         want = naive_scan(px, py, -0.5, -0.25, 7, 9, 0.17)
         assert got[1:] == want[1:]
         assert got[0] == pytest.approx(want[0], rel=1e-12)
 
 
-@pytest.mark.skipif(_gridmin is None, reason="compiled kernel not built")
-def test_backends_agree_on_large_grid():
-    rng = np.random.default_rng(1)
-    px = rng.uniform(-1, 1, size=6)
-    py = rng.uniform(-1, 1, size=6)
-    a = _gridmin.grid_min_2d(px, py, -1.0, -1.0, 401, 401, 5e-3)
-    b = _gridmin_py.grid_min_2d(px, py, -1.0, -1.0, 401, 401, 5e-3)
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1:] == b[1:]
-
-
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_rejects_empty(name, impl):
+def test_rejects_empty():
     with pytest.raises(ValueError):
-        impl(np.empty(0), np.empty(0), 0.0, 0.0, 3, 3, 0.1)
+        grid_min_2d(np.empty(0), np.empty(0), 0.0, 0.0, 3, 3, 0.1)
 
 
-def test_selected_backend_exposed():
-    assert kernels.BACKEND in ("compiled", "python")
-    assert callable(kernels.grid_min_2d)
+class TestExactAgainstExhaustiveScan:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_seeded_sets(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(3):
+            px = rng.uniform(-1, 1, size=k)
+            py = rng.uniform(-1, 1, size=k)
+            nx, ny = (int(n) for n in rng.integers(150, 301, size=2))
+            step = 2.0 / max(nx, ny)
+            assert_exact(px, py, -1.0, -1.0, nx, ny, step)
+
+    def test_refine_windows(self):
+        # the 41x41 windows grid_median re-scans around its incumbent
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            k = int(rng.integers(3, 9))
+            pts = rng.uniform(-1, 1, size=(k, 2))
+            cx, cy = pts.mean(axis=0)
+            for step in (1e-4, 1e-5, 1e-6):
+                assert_exact(pts[:, 0], pts[:, 1], cx - 20 * step, cy - 20 * step,
+                             41, 41, step)
+
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 300), (300, 1), (2, 300),
+                                       (300, 2), (1, 65), (64, 1), (3, 129)])
+    def test_thin_grids(self, nx, ny):
+        rng = np.random.default_rng(nx * 1000 + ny)
+        for k in (1, 3, 8):
+            px = rng.uniform(-1, 1, size=k)
+            py = rng.uniform(-1, 1, size=k)
+            assert_exact(px, py, -1.0, -1.0, nx, ny, 2.0 / max(nx, ny))
+
+    def test_ties_in_a_symmetric_square(self):
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        step, n = 1.0 / 64, 128
+        x0 = -(n - 1) / 2 * step
+        value, ix, iy = assert_exact(corners[:, 0], corners[:, 1], x0, x0, n, n, step)
+
+        def at(cell):  # a 1x1 scan computes the cell's value by the same formula
+            cx, cy = cell
+            return exhaustive_scan(corners[:, 0], corners[:, 1], x0 + step * cx,
+                                   x0 + step * cy, 1, 1, step)[0]
+
+        centre = [(63, 63), (64, 63), (63, 64), (64, 64)]  # iy-outer order
+        ties = [cell for cell in centre if at(cell) == value]
+        assert len(ties) > 1
+        assert (ix, iy) == ties[0]
+
+    def test_ties_along_a_segment(self):
+        # every cell on the segment between two points has the value 1 exactly
+        got = assert_exact([0.0, 1.0], [0.0, 0.0], -0.5, -0.5, 256, 128, 1.0 / 64)
+        assert got == (1.0, 32, 32)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1, 1, size=(4, 2))
+        pts = np.vstack([pts, pts[:3], pts[:1]])
+        assert_exact(pts[:, 0], pts[:, 1], -1.0, -1.0, 257, 201, 1.0 / 128)
+
+    def test_offset_origin(self):
+        rng = np.random.default_rng(12)
+        pts = 1e6 + rng.uniform(-1, 1, size=(6, 2))
+        lo = pts.min(axis=0)
+        assert_exact(pts[:, 0], pts[:, 1], lo[0], lo[1], 300, 300, 1e-2)
+        assert_exact(pts[:, 0], pts[:, 1], lo[0], lo[1], 41, 41, 1e-7)
 
 
 class TestGridMedian:
