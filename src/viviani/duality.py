@@ -21,7 +21,7 @@ from .errors import (
     SpokeViolation,
     VivianiError,
 )
-from .fermat import PointSet, _as_points, _spread, geometric_median
+from .fermat import PointSet, _as_points, _distances, _spread, geometric_median
 from .geometry import (
     HyperplaneSet,
     OrientedHyperplane,
@@ -64,11 +64,11 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     k, n = pts.shape
     x = as_vector(P, dim=n)
     diff = pts - x
-    d = np.linalg.norm(diff, axis=1)
+    d = _distances(diff)
     if np.any(d <= 1e-12 * _spread(pts)):
         raise CoincidesWithAnchor("the base point coincides with an input point")
     normals = diff / d[:, None]
-    cert = float(np.linalg.norm(normals.sum(axis=0)))
+    cert = float(np.linalg.norm((1.0 / d) @ diff))
     if cert > k * FERMAT_CERT_FACTOR:
         raise NotAFermatPoint(
             f"direction sum {cert!r} exceeds the certificate bound {k * FERMAT_CERT_FACTOR!r}"

@@ -12,10 +12,19 @@ The solver is Weiszfeld fixed-point iteration from the centroid, used only
 to globalise: whenever a step fails to shrink by ``SLOW_RATIO``, and at
 convergence, the certificates (interior, then the anchors') are tried, then
 a damped Newton polish with a bounded line search.  Iterates landing on an
-input point are certified as the anchor optimum or pushed one tiny step
-along the descent direction; exactly collinear inputs get a closed-form 1-D
-median.  The objective is non-increasing up to rounding; at a +1e12 offset
-the two kinds of step can trade the iterate between neighbouring floats.
+input point are certified as the anchor optimum or pushed a small step
+along the descent direction, at least a few float spacings long; exactly
+collinear inputs get a closed-form 1-D median.  The objective is
+non-increasing up to rounding; at a +1e12 offset the two kinds of step can
+trade the iterate between neighbouring floats.
+
+Each iterate costs one pass over the (k, n) data: the differences
+``p_j - X`` and their norms (``_distances``) are taken once, right after the
+step, and the slow-down test, the interior certificate, the polish's first
+step and the reported objective all reuse them.  Spoke sums are the product
+``(1/d) @ (P - X)``.  The centred points of the first iterate also decide
+collinearity (``_is_collinear``): a two-row lower bound on the second
+singular value clears almost every input without an SVD.
 
 The rescue stays cheap at large k.  The anchor test costs O(k n) per
 anchor, so the scan first drops every anchor that a proven lower bound on
@@ -27,6 +36,7 @@ anchor in index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,11 +130,16 @@ def _spread(pts: np.ndarray) -> float:
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
+def _distances(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``diff``: one pass, no (k, n) temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def total_distance(X, A) -> float:
     """Sum of Euclidean distances from ``X`` to every point of ``A``."""
     pts = _as_points(A)
     x = as_vector(X, dim=pts.shape[1])
-    return float(np.linalg.norm(pts - x, axis=1).sum())
+    return float(_distances(pts - x).sum())
 
 
 def direction_sum_at(X, A) -> np.ndarray:
@@ -136,10 +151,10 @@ def direction_sum_at(X, A) -> np.ndarray:
     pts = _as_points(A)
     x = as_vector(X, dim=pts.shape[1])
     diff = pts - x
-    d = np.linalg.norm(diff, axis=1)
+    d = _distances(diff)
     if np.any(d <= ANCHOR_ETA * _spread(pts)):
         raise CoincidesWithAnchor("query point coincides with an input point")
-    out = (diff / d[:, None]).sum(axis=0)
+    out = (1.0 / d) @ diff
     out.flags.writeable = False
     return out
 
@@ -151,13 +166,13 @@ def _anchor_certificate(pts: np.ndarray, idx: int, eta: float):
     when the norm is at most the multiplicity (number of coincident copies).
     """
     diff = pts - pts[idx]
-    d = np.linalg.norm(diff, axis=1)
+    d = _distances(diff)
     near = d <= eta
     m = int(near.sum())
-    rest = ~near
-    if not np.any(rest):
+    if m == d.size:
         return 0.0, m, np.zeros(pts.shape[1])
-    R = (diff[rest] / d[rest, None]).sum(axis=0)
+    w = np.divide(1.0, d, out=np.zeros_like(d), where=~near)
+    R = w @ diff
     return float(np.linalg.norm(R)), m, R
 
 
@@ -207,7 +222,7 @@ def _certified_anchor(pts: np.ndarray, X: np.ndarray, eta: float, near_idx: int)
     else:
         order = range(k)
         diff = pts - X
-        d = np.linalg.norm(diff, axis=1)
+        d = _distances(diff)
         if float(d.min()) > 0.0 and eta * eta >= np.finfo(float).tiny:
             U = diff / d[:, None]
             M = k * np.eye(n) - U.T @ U
@@ -224,18 +239,26 @@ def _certified_anchor(pts: np.ndarray, X: np.ndarray, eta: float, near_idx: int)
 
 
 def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
-                   history: list[float] | None, budget: int = 40) -> np.ndarray:
+                   history: list[float] | None, diff: np.ndarray,
+                   d: np.ndarray, budget: int = 40
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton steps on the (smooth away from anchors) distance sum.
 
     Rescues the fixed-point iteration when the optimum sits in a nearly flat
     valley (almost-collinear inputs), where its contraction rate degrades to
-    1 - O(valley width squared).  The Hessian ``sum (I - u u^T) / d`` is
-    built as ``(sum 1/d) I - (u/d)^T u``, one matmul.  Armijo backtracking
-    keeps the objective non-increasing.  Its first trial goes at most half
-    way to the nearest point ahead, whose ``1/d`` curvature the quadratic
-    model misses; a step still failing after ``LINE_SEARCH_TRIALS`` trials
-    is being pulled toward an anchor, and the polish hands back to the
-    caller, as it does near an anchor.
+    1 - O(valley width squared).  Takes ``diff = pts - X`` and its row norms
+    ``d`` and returns ``(X, diff, d)`` at the point it stops; each step takes
+    one distance pass, at its trial point.  The gradient is ``-(1/d) @ diff``.
+    The Hessian ``sum (I - u u^T) / d`` is formed multiplied by the nearest
+    distance ``c``, as ``(sum c/d) I - V^T V`` with rows
+    ``V_j = u_j sqrt(c/d_j)``: one matmul of rows no longer than 1, which
+    neither overflows nor underflows wherever the distances do not; the
+    right-hand side is scaled by ``c`` to match.  Armijo backtracking keeps
+    the objective non-increasing.  Its first trial goes at most half way to
+    the nearest point ahead, whose ``1/d`` curvature the quadratic model
+    misses; a step still failing after ``LINE_SEARCH_TRIALS`` trials is
+    being pulled toward an anchor, and the polish hands back to the caller,
+    as it does near an anchor.
 
     The Armijo test takes the change of the objective term by term, as
     ``sum (|s|^2 - 2 (p_j - X).s) / (|p_j - X - s| + |p_j - X|)`` for the
@@ -250,25 +273,25 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     n = pts.shape[1]
     eye = np.eye(n)
     for _ in range(budget):
-        diff = pts - X
-        d = np.linalg.norm(diff, axis=1)
-        if float(d.min()) <= eta:
-            break
-        u = diff / d[:, None]
-        grad = -u.sum(axis=0)
-        if float(np.linalg.norm(grad)) <= 0.25 * RESIDUAL_TARGET:
+        c = float(d.min())
+        if c <= eta:
             break
         w = 1.0 / d
-        H = w.sum() * eye - (u * w[:, None]).T @ u
+        grad = -(w @ diff)
+        if float(np.linalg.norm(grad)) <= 0.25 * RESIDUAL_TARGET:
+            break
+        r = c * w
+        V = diff * (np.sqrt(r) * w)[:, None]
+        H = r.sum() * eye - V.T @ V
         H += (1e-12 * np.trace(H) / n) * eye
         try:
-            p = np.linalg.solve(H, -grad)
+            p = np.linalg.solve(H, -c * grad)
         except np.linalg.LinAlgError:
             break
         slope = float(grad @ p)
         if slope >= 0.0:
             break
-        reach = 0.5 * float(np.min(d, where=diff @ p > 0.0, initial=np.inf))
+        reach = 0.5 * float(d[diff @ p > 0.0].min(initial=np.inf))
         length = float(np.linalg.norm(p))
         t = reach / length if length > reach else 1.0
         for _ in range(LINE_SEARCH_TRIALS):
@@ -276,40 +299,83 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
             if np.array_equal(Xn, X):
                 # the step is below the float spacing at X; halving t
                 # cannot move any coordinate either
-                return X
+                return X, diff, d
             s = Xn - X
-            dn = np.linalg.norm(pts - Xn, axis=1)
+            diffn = pts - Xn
+            dn = _distances(diffn)
             df = float(((s @ s - 2.0 * (diff @ s)) / (dn + d)).sum())
             if df <= 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        X = Xn
+        X, diff, d = Xn, diffn, dn
         if history is not None:
-            history.append(float(dn.sum()))
-    return X
+            history.append(float(d.sum()))
+    return X, diff, d
 
 
-def _collinear_median(pts: np.ndarray) -> np.ndarray:
-    """1-D weighted median along the common line: midpoint of the interval
+def _collinear_median(X: np.ndarray, C: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """1-D median of the points ``X + C`` along the common line through the
+    centroid ``X`` with unit direction ``u``: midpoint of the interval
     between the two middle order statistics (the interval degenerates for
     odd counts)."""
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    u = vt[0]
-    t = np.sort(centered @ u)
+    t = np.sort(C @ u)
     k = t.size
     tstar = 0.5 * (t[(k - 1) // 2] + t[k // 2])
-    return mean + tstar * u
+    return X + tstar * u
 
 
-def _is_collinear(pts: np.ndarray) -> bool:
-    if pts.shape[1] == 1 or pts.shape[0] == 2:
-        return True
-    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return bool(s[1] <= COLLINEAR_RATIO * s[0])
+#: Smallest squared Frobenius norm for which ``_is_collinear`` trusts its
+#: bound: ``tiny / eps^2``, so its squared norms keep full precision.
+_SQUARES_SAFE = np.finfo(float).tiny / np.finfo(float).eps ** 2
+
+
+def _is_collinear(C: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """Direction of the common line of the centred points ``C`` (row norms
+    ``d``), or None when they are not collinear.
+
+    The points are collinear when the singular values of ``C`` satisfy
+    ``s_1 <= COLLINEAR_RATIO s_0``, and always for k = 2 or n = 1; the
+    direction is the first right singular vector.  Most inputs are cleared
+    without an SVD.  Take ``a``, the row of ``C`` with the largest norm, and
+    ``b``, the row farthest off the line through ``a``.  Deleting rows
+    interlaces singular values, and for two rows ``s_0 s_1 = |a| |b_perp|``
+    with ``s_0 <= sqrt(|a|^2 + |b|^2)``; so
+
+        s_1(C) >= s_1([a; b]) >= |a| |b_perp| / sqrt(|a|^2 + |b|^2),
+
+    while ``s_0(C) <= |C|_F``.  When that lower bound exceeds
+    ``2 COLLINEAR_RATIO |C|_F`` the points are not collinear, and the SVD
+    criterion gives the same verdict: the factor 2 leaves room for rounding
+    errors of up to ``COLLINEAR_RATIO |C|_F`` (about 4500 eps |C|_F) in the
+    bound and in the SVD's singular values.  The bound is trusted only while
+    ``|C|_F^2`` is finite and at least ``tiny / eps^2``, so that the squared
+    norms it uses lose nothing to underflow; every other input, and every
+    input that fails the bound, runs the SVD, which also returns the
+    direction.
+
+    The bound is there for large ``k n``: it takes O(k n) work against the
+    SVD's O(k n^2), which at n = 50 and k = 1000 is a large share of the
+    whole solve.  For a few planar points the two cost about the same.
+    """
+    k, n = C.shape
+    if n > 1 and k > 2:
+        F2 = float(d @ d)
+        if _SQUARES_SAFE <= F2 < math.inf:
+            i = int(d.argmax())
+            a_hat = C[i] / d[i]
+            along = C @ a_hat
+            j = int((d * d - along * along).argmax())
+            b_perp = C[j] - along[j] * a_hat
+            da, db = float(d[i]), float(d[j])
+            lower = da * math.sqrt(float(b_perp @ b_perp)) / math.hypot(da, db)
+            if lower > 2.0 * COLLINEAR_RATIO * math.sqrt(F2):
+                return None
+    _, s, vt = np.linalg.svd(C, full_matrices=False)
+    if n == 1 or k == 2 or s[1] <= COLLINEAR_RATIO * s[0]:
+        return vt[0]
+    return None
 
 
 def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
@@ -329,12 +395,15 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     history: list[float] | None = [] if record_history else None
     iterations = 0
 
-    def finish(point, status, residual, anchor_index=None):
+    def finish(point, status, residual, anchor_index=None, d=None):
+        # d: the distances at point, when the caller holds them
         p = np.array(point, dtype=float)
         p.flags.writeable = False
+        if d is None:
+            d = _distances(pts - p)
         return MedianResult(
             point=p,
-            objective=total_distance(p, pts),
+            objective=float(d.sum()),
             status=status,
             residual=float(residual),
             iterations=iterations,
@@ -349,70 +418,81 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
 
     eta = ANCHOR_ETA * spread
 
-    if _is_collinear(pts):
-        point = _collinear_median(pts)
+    X = pts.mean(axis=0)
+    diff = pts - X
+    d = _distances(diff)
+    line = _is_collinear(diff, d)
+    if line is not None:
+        point = _collinear_median(X, diff, line)
         return finish(point, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0)
 
-    def record(x):
+    def record(d):
         if history is not None:
-            history.append(total_distance(x, pts))
+            history.append(float(d.sum()))
 
     def anchor(idx, rnorm):
-        record(pts[idx])
-        return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm, idx)
+        d = _distances(pts - pts[idx])
+        record(d)
+        return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm, idx, d)
 
-    def settle(X, d, final):
+    def settle(X, diff, d, final):
         # The one place that chooses between an interior and an anchor
-        # answer at X (distances d), in that order.  None if neither holds,
-        # unless final: then X is returned with its residual.
+        # answer at X (differences diff, distances d), in that order.  None
+        # if neither holds, unless final: then X is returned with its
+        # residual.
         j = int(np.argmin(d))
         if d[j] <= eta:
             r, _, _ = _anchor_certificate(pts, j, eta)
         else:
-            r = float(np.linalg.norm(((pts - X) / d[:, None]).sum(axis=0)))
+            r = float(np.linalg.norm((1.0 / d) @ diff))
             if r <= RESIDUAL_TARGET:
-                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r)
+                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d)
         hit = _certified_anchor(pts, X, eta, j)
         if hit is not None:
             return anchor(*hit)
-        return finish(X, MedianStatus.INTERIOR_OPTIMUM, r) if final else None
+        return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d) if final else None
 
-    X = pts.mean(axis=0)
-    record(X)
+    record(d)
     polish_attempts = 0
     last_step = np.inf
     for iterations in range(1, max_iter + 1):
-        diff = pts - X
-        d = np.linalg.norm(diff, axis=1)
         imin = int(np.argmin(d))
         if d[imin] <= eta:
             rnorm, mult, R = _anchor_certificate(pts, imin, eta)
             if rnorm <= mult + ANCHOR_SLACK:
                 return anchor(imin, rnorm)
-            # not optimal: restart one tiny step along the descent direction
-            X = pts[imin] + (eta * 1e3) * R
-            record(X)
+            # not optimal: restart a small step along the descent direction,
+            # long enough that its largest coordinate moves by at least four
+            # float spacings, else far from the origin it rounds back onto
+            # the point and the next pass lands here again
+            P = pts[imin]
+            h = 4.0 * float(np.spacing(np.abs(P).max())) / float(np.abs(R).max())
+            X = P + max(eta * 1e3, h) * R
+            diff = pts - X
+            d = _distances(diff)
+            record(d)
             continue
         w = 1.0 / d
         Xn = (w @ pts) / w.sum()
         step = float(np.linalg.norm(Xn - X))
         X = Xn
-        record(X)
+        diff = pts - X
+        d = _distances(diff)
+        record(d)
         xscale = 1.0 + float(np.linalg.norm(X))
         converged = step <= tol * xscale
         slow = step > SLOW_RATIO * last_step
         last_step = step
         if converged or slow:
             last_step = np.inf
-            dn = np.linalg.norm(pts - X, axis=1)
-            if float(dn.min()) <= eta:
+            if float(d.min()) <= eta:
                 continue  # the capture branch takes it on the next pass
-            done = settle(X, dn, final=converged and polish_attempts >= 8)
+            done = settle(X, diff, d, final=converged and polish_attempts >= 8)
             if done is not None:
                 return done
             if polish_attempts < 8:
                 polish_attempts += 1
-                X = _newton_polish(pts, X, eta, history)
+                X, diff, d = _newton_polish(pts, X, eta, history, diff, d)
 
     # max_iter exhausted: certify what the last iterate allows
-    return settle(X, np.linalg.norm(pts - X, axis=1), final=True)
+    return settle(X, diff, d, final=True)

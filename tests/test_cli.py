@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import viviani
 from viviani import parse_document, viviani_defect, viviani_values
 from viviani.cli import run_cli
 
@@ -252,10 +254,15 @@ class TestDeterminism:
 
 
 def test_module_entry_point():
+    # the child imports the package under test, not whatever is installed
+    src = str(Path(viviani.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "viviani", "check", PENTAGON],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "viviani=true" in proc.stdout
