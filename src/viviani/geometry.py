@@ -16,6 +16,11 @@ exactly when the unit normals cancel; we call such a set *Viviani* (after
 the classical constant-sum theorem for equilateral triangles).  The norm of
 the normal sum is the *defect*: the rate at which v changes per unit length
 along the normal-sum direction.
+
+A :class:`HyperplaneSet` stores such a multiset as arrays: a (k, n) array
+of unit normals and a (k,) array of offsets, both read-only, validated in
+one vectorised pass.  :class:`OrientedHyperplane` is the single-plane type;
+indexing or iterating a set yields one per row.
 """
 
 from __future__ import annotations
@@ -85,14 +90,23 @@ class OrientedHyperplane:
         return f"OrientedHyperplane(normal={self.normal.tolist()}, offset={self.offset})"
 
 
-@dataclass(frozen=True, eq=False)
 class HyperplaneSet:
-    """Nonempty ordered multiset of oriented hyperplanes of one dimension."""
+    """Nonempty ordered multiset of oriented hyperplanes of one dimension.
 
-    planes: tuple[OrientedHyperplane, ...]
+    Stored as two arrays: ``normals`` (k, n), one unit normal per row, and
+    ``offsets`` (k,).  Both attributes are the stored arrays themselves, not
+    copies, and are read-only; copy them before modifying.  :meth:`from_arrays`
+    validates whole arrays in one pass; the constructor takes
+    :class:`OrientedHyperplane` objects.  Indexing or iterating yields one
+    :class:`OrientedHyperplane` per row, from the ``planes`` tuple, which is
+    built on first use.
+    """
 
-    def __post_init__(self):
-        planes = tuple(self.planes)
+    normals: np.ndarray
+    offsets: np.ndarray
+
+    def __init__(self, planes):
+        planes = tuple(planes)
         if not planes:
             raise VivianiError("a hyperplane set must contain at least one plane")
         dim = planes[0].dimension
@@ -101,14 +115,56 @@ class HyperplaneSet:
                 raise DimensionMismatch(
                     f"mixed dimensions in hyperplane set: {dim} and {p.dimension}"
                 )
-        object.__setattr__(self, "planes", planes)
+        self._store(np.array([p.normal for p in planes]),
+                    np.array([p.offset for p in planes]), planes)
+
+    def _store(self, normals, offsets, planes=None):
+        normals.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_planes", planes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HyperplaneSet is immutable; cannot set {name!r}")
+
+    @classmethod
+    def from_arrays(cls, normals, offsets) -> "HyperplaneSet":
+        """Set with the rows of ``normals`` and the entries of ``offsets``.
+
+        Both are copied.  A row that :class:`OrientedHyperplane` would
+        reject raises the same error it does, for the first such row: every
+        row the vectorised screen flags is handed to that constructor in
+        row order.
+        """
+        normals = np.array(normals, dtype=float)
+        offsets = np.array(offsets, dtype=float).reshape(-1)
+        if normals.ndim != 2 or normals.shape[0] != offsets.size:
+            raise VivianiError("need one offset per normal row")
+        if offsets.size == 0:
+            raise VivianiError("a hyperplane set must contain at least one plane")
+        ok = (_unit_deviation(normals) <= _UNIT_SLACK) & np.isfinite(offsets)
+        for i in np.flatnonzero(~ok):
+            OrientedHyperplane(normals[i], offsets[i])  # raises for a bad row
+        S = object.__new__(cls)
+        S._store(normals, offsets)
+        return S
+
+    @property
+    def planes(self) -> tuple[OrientedHyperplane, ...]:
+        """The rows as :class:`OrientedHyperplane` objects, built once."""
+        if self._planes is None:
+            object.__setattr__(self, "_planes", tuple(
+                OrientedHyperplane(n, c) for n, c in zip(self.normals, self.offsets.tolist())
+            ))
+        return self._planes
 
     @property
     def dimension(self) -> int:
-        return self.planes[0].dimension
+        return self.normals.shape[1]
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return self.normals.shape[0]
 
     def __iter__(self) -> Iterator[OrientedHyperplane]:
         return iter(self.planes)
@@ -116,22 +172,23 @@ class HyperplaneSet:
     def __getitem__(self, i) -> OrientedHyperplane:
         return self.planes[i]
 
-    @property
-    def normals(self) -> np.ndarray:
-        """Normals stacked as a (k, n) array."""
-        return np.array([p.normal for p in self.planes])
+    def __repr__(self) -> str:
+        return (f"HyperplaneSet.from_arrays({self.normals.tolist()}, "
+                f"{self.offsets.tolist()})")
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([p.offset for p in self.planes])
 
-    @classmethod
-    def from_arrays(cls, normals, offsets) -> "HyperplaneSet":
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float).reshape(-1)
-        if normals.ndim != 2 or normals.shape[0] != offsets.size:
-            raise VivianiError("need one offset per normal row")
-        return cls(tuple(OrientedHyperplane(n, c) for n, c in zip(normals, offsets)))
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each rounded exactly as ``a @ b``.
+
+    So ``np.sqrt(_row_dots(A, A))`` equals ``np.linalg.norm`` row by row,
+    bit for bit, and vectorised checks keep the per-vector thresholds.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _unit_deviation(normals: np.ndarray) -> np.ndarray:
+    """``|‖n‖ - 1|`` for each row ``n``, as a single vector's check computes it."""
+    return np.abs(np.sqrt(_row_dots(normals, normals)) - 1.0)
 
 
 def make_hyperplane_from_anchor(normal_raw, anchor) -> OrientedHyperplane:

@@ -10,6 +10,7 @@ family of irregular tetrahedra.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,13 +26,7 @@ from .errors import (
     UnknownSolid,
     VivianiError,
 )
-from .geometry import (
-    DEFAULT_TOL,
-    HyperplaneSet,
-    as_vector,
-    is_viviani,
-    make_hyperplane_from_anchor,
-)
+from .geometry import DEFAULT_TOL, HyperplaneSet, _row_dots, as_vector, is_viviani
 
 _REL_EPS = 1e-12  # relative threshold for degeneracy checks, scaled by diameter
 
@@ -60,18 +55,21 @@ class ConvexPolygon:
         if diam <= 0.0:
             raise InvalidPolygon("all vertices coincide")
         # shoelace sign; flip clockwise input to counterclockwise
-        x, y = v[:, 0], v[:, 1]
-        area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        w = _next_rows(v)
+        area2 = float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
         if area2 < 0.0:
             v = v[::-1].copy()
-        edges = np.roll(v, -1, axis=0) - v
+            w = _next_rows(v)
+        edges = w - v
         if np.any(np.linalg.norm(edges, axis=1) <= _REL_EPS * diam):
             raise InvalidPolygon("repeated vertices")
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        turn = _next_rows(edges)
+        cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
         if np.any(cross <= _REL_EPS * diam * diam):
             raise InvalidPolygon("polygon is not strictly convex")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "_diameter", diam)
 
     @property
     def k(self) -> int:
@@ -79,12 +77,16 @@ class ConvexPolygon:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
-        return float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+        return self._diameter
 
     def side_lengths(self) -> np.ndarray:
-        edges = np.roll(self.vertices, -1, axis=0) - self.vertices
+        edges = _next_rows(self.vertices) - self.vertices
         return np.linalg.norm(edges, axis=1)
+
+
+def _next_rows(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=0)``: row i holds row i + 1, cyclically."""
+    return np.concatenate((a[1:], a[:1]))
 
 
 class TriangleClass(Enum):
@@ -102,14 +104,13 @@ def polygon_to_hyperplanes(G: ConvexPolygon) -> HyperplaneSet:
 
     Each line passes through both endpoints of its edge; for counterclockwise
     vertices the outward normal of edge direction (dx, dy) is (dy, -dx).
+    :class:`ConvexPolygon` guarantees every edge is longer than 1e-12 of
+    the diameter, so every edge length here is positive.
     """
     v = G.vertices
-    planes = []
-    for i in range(G.k):
-        a = v[i]
-        d = v[(i + 1) % G.k] - a
-        planes.append(make_hyperplane_from_anchor((d[1], -d[0]), a))
-    return HyperplaneSet(tuple(planes))
+    raw = (_next_rows(v) - v)[:, ::-1] * (1.0, -1.0)
+    normals = raw / np.sqrt(_row_dots(raw, raw))[:, None]
+    return HyperplaneSet.from_arrays(normals, _row_dots(normals, v))
 
 
 def is_viviani_polygon(G: ConvexPolygon, tol: float = DEFAULT_TOL) -> bool:
@@ -235,12 +236,14 @@ def _unit_rows(rows) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1)[:, None]
 
 
+@functools.cache
 def _icosahedron_data():
     """Unit icosahedron vertices plus its 20 face-center directions.
 
     Faces are the triangles of the edge graph (nearest-neighbor pairs of the
     golden-ratio coordinates).  Face centroids of antipodal faces are exact
     negations, so the returned directions cancel exactly in floating point.
+    Computed once; the arrays are read-only.
     """
     raw = np.array(_signs(_cyclic((0.0, 1.0, _PHI))))
     d2 = ((raw[:, None, :] - raw[None, :, :]) ** 2).sum(axis=-1)
@@ -255,7 +258,10 @@ def _icosahedron_data():
             for l in range(j + 1, m):
                 if adj[i, l] and adj[j, l]:
                     centers.append(raw[i] + raw[j] + raw[l])
-    return _unit_rows(raw), _unit_rows(centers)
+    verts, faces = _unit_rows(raw), _unit_rows(centers)
+    verts.flags.writeable = False
+    faces.flags.writeable = False
+    return verts, faces
 
 
 _SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")

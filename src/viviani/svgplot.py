@@ -36,7 +36,8 @@ def render_svg(doc: ConfigDocument) -> str:
         raise VivianiError("plotting is implemented for dimension 2 only")
 
     if doc.planes is not None:
-        anchors = np.array([p.offset * p.normal for p in doc.planes])
+        normals, offsets = doc.planes.normals, doc.planes.offsets
+        anchors = offsets[:, None] * normals
         content = anchors
     elif doc.polygon is not None:
         content = doc.polygon.vertices
@@ -86,8 +87,8 @@ def render_svg(doc: ConfigDocument) -> str:
         )
 
     if doc.planes is not None:
-        for p in doc.planes:
-            seg = _clip_line(p.normal, p.offset, window)
+        for normal, offset, anchor in zip(normals, offsets, anchors):
+            seg = _clip_line(normal, offset, window)
             if seg is None:
                 continue
             (a, b) = seg
@@ -97,7 +98,7 @@ def render_svg(doc: ConfigDocument) -> str:
                 f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
                 f"{_STYLE_LINE}/>"
             )
-            emit_arrow(p.offset * p.normal, p.normal)
+            emit_arrow(anchor, normal)
     elif doc.polygon is not None:
         verts = doc.polygon.vertices
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_screen(v) for v in verts))

@@ -5,6 +5,23 @@ import numpy as np
 from viviani import ConvexPolygon, HyperplaneSet, InvalidPolygon
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count calls of ``owner.name`` from here on; each call still runs.
+
+    Returns the list that grows by one entry per call.  Patching a method
+    on its class counts the calls made through every instance.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def random_unit(rng, n):
     v = rng.normal(size=n)
     return v / np.linalg.norm(v)

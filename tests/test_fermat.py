@@ -16,7 +16,7 @@ from viviani import (
     total_distance,
 )
 
-from helpers import equilateral_triangle, random_unit, rotation_2d
+from helpers import count_calls, equilateral_triangle, random_unit, rotation_2d
 
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -24,28 +24,12 @@ SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 def count_distance_passes(monkeypatch) -> list:
     """Count calls of ``fermat._distances`` from here on: the solver's
     distance passes, one per call whatever its batch."""
-    distances = fermat._distances
-    calls = []
-
-    def counted(diff):
-        calls.append(None)
-        return distances(diff)
-
-    monkeypatch.setattr(fermat, "_distances", counted)
-    return calls
+    return count_calls(monkeypatch, fermat, "_distances")
 
 
 def count_svd_calls(monkeypatch) -> list:
     """Count ``np.linalg.svd`` calls from here on."""
-    svd = np.linalg.svd
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
+    return count_calls(monkeypatch, np.linalg, "svd")
 
 
 class TestPointSet:

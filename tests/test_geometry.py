@@ -12,11 +12,16 @@ from viviani import (
     OrientedHyperplane,
     VivianiError,
     ZeroNormal,
+    fermat_to_viviani,
     is_viviani,
     level_set_direction,
     make_hyperplane_from_anchor,
     normal_sum,
+    parse_document,
+    planes_document,
     polygon_to_hyperplanes,
+    regular_polygon,
+    serialize_document,
     signed_distance,
     tetrahedron_family,
     viviani_defect,
@@ -28,6 +33,7 @@ from viviani.polytope import ConvexPolygon, make_equiangular_polygon
 
 from helpers import (
     affinely_independent_points,
+    count_calls,
     equilateral_triangle,
     random_hyperplane_set,
     random_viviani_set,
@@ -307,3 +313,179 @@ def test_affine_identity(data, n, k):
     lhs = vQ - vP
     rhs = float(viviani_gradient(S) @ (Q - P))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(vP) + abs(vQ))
+
+
+def first_row_error(normals, offsets):
+    """(class, message) of the first row that OrientedHyperplane rejects,
+    building one plane per row as sets were once built; None if none is."""
+    try:
+        for n, c in zip(normals, offsets):
+            OrientedHyperplane(n, c)
+    except VivianiError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestArrayStorage:
+    def test_arrays_are_stored_read_only(self):
+        S = unit_cube_planes()
+        assert S.normals.shape == (6, 3) and S.offsets.shape == (6,)
+        assert S.normals is S.normals  # stored, not rebuilt per access
+        with pytest.raises(ValueError):
+            S.normals[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            S.offsets[0] = 2.0
+        with pytest.raises(AttributeError):
+            S.normals = np.eye(3)
+
+    def test_from_arrays_copies_its_input(self):
+        N = np.array([[1.0, 0.0], [0.0, 1.0]])
+        c = np.array([1.0, 2.0])
+        S = HyperplaneSet.from_arrays(N, c)
+        N[0, 0], c[0] = -1.0, 5.0
+        assert S.normals.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert S.offsets.tolist() == [1.0, 2.0]
+
+    def test_rows_as_planes(self):
+        rng = np.random.default_rng(21)
+        S = random_hyperplane_set(rng, 3, 7)
+        assert len(S) == 7 and S.dimension == 3
+        assert S.planes is S.planes  # built once
+        for i, p in enumerate(S):
+            assert isinstance(p, OrientedHyperplane)
+            assert p.normal.tolist() == S.normals[i].tolist()
+            assert p.offset == float(S.offsets[i])
+            assert S[i] is p
+        assert [p.offset for p in S[2:4]] == S.offsets[2:4].tolist()
+
+    def test_constructor_and_from_arrays_agree(self):
+        rng = np.random.default_rng(22)
+        S = random_hyperplane_set(rng, 4, 9)
+        T = HyperplaneSet(tuple(OrientedHyperplane(p.normal, p.offset) for p in S))
+        assert T.normals.tolist() == S.normals.tolist()
+        assert T.offsets.tolist() == S.offsets.tolist()
+
+
+class TestFromArraysErrors:
+    """``from_arrays`` checks whole arrays at once, but raises what building
+    one plane per row raises, for the first bad row."""
+
+    ROWS = 40
+
+    def base(self):
+        rng = np.random.default_rng(23)
+        N = rng.normal(size=(self.ROWS, 3))
+        N /= np.linalg.norm(N, axis=1)[:, None]
+        return N, rng.uniform(-2.0, 2.0, size=self.ROWS)
+
+    @pytest.mark.parametrize("row", [0, 17, 39])
+    @pytest.mark.parametrize("fault, cls", [
+        ("nan coordinate", VivianiError),
+        ("inf coordinate", VivianiError),
+        ("long normal", NonUnitNormal),
+        ("slightly long normal", NonUnitNormal),
+        ("nan offset", VivianiError),
+        ("inf offset", VivianiError),
+    ])
+    def test_first_bad_row_raises_its_error(self, fault, cls, row):
+        N, c = self.base()
+        if fault == "nan coordinate":
+            N[row, 1] = np.nan
+        elif fault == "inf coordinate":
+            N[row, 2] = -np.inf
+        elif fault == "long normal":
+            N[row] *= 2.0
+        elif fault == "slightly long normal":
+            N[row] *= 1.0 + 3e-9
+        elif fault == "nan offset":
+            c[row] = np.nan
+        else:
+            c[row] = np.inf
+        if row < self.ROWS - 1:
+            N[-1, 0] = np.nan  # a later fault of another kind must not win
+        want = first_row_error(N, c)
+        assert want is not None and want[0] is cls
+        with pytest.raises(cls) as err:
+            HyperplaneSet.from_arrays(N, c)
+        assert (type(err.value), str(err.value)) == want
+
+    def test_messages(self):
+        cases = [
+            ([[1.0, 0.0], [np.nan, 0.0]], [0.0, 0.0], "vector coordinates must be finite"),
+            ([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0],
+             f"normal has length {np.float64(2.0)!r}, expected 1 within 1e-09"),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.inf], "offset must be finite"),
+            ([[1.0, 0.0]], [0.0, 1.0], "need one offset per normal row"),
+            (np.zeros((0, 2)), [], "a hyperplane set must contain at least one plane"),
+            (np.zeros((1, 0)), [0.0], "vector needs at least one coordinate"),
+        ]
+        for N, c, message in cases:
+            with pytest.raises(VivianiError) as err:
+                HyperplaneSet.from_arrays(N, c)
+            assert str(err.value) == message
+
+    def test_unit_threshold_is_inclusive_as_per_plane(self):
+        # The bulk check must accept and reject exactly the rows a single
+        # plane does, right at the 1e-9 threshold: these norms lie within a
+        # few float spacings of 1 + 1e-9, where rounding decides.
+        rng = np.random.default_rng(24)
+        N = rng.normal(size=(2000, 3))
+        N /= np.linalg.norm(N, axis=1)[:, None]
+        N *= (1.0 + 1e-9) * (1.0 + rng.integers(-3, 4, size=2000) * 2.0 ** -52)[:, None]
+        verdicts = []
+        for n in N:
+            verdicts.append(first_row_error([n], [0.0]) is None)
+            try:
+                HyperplaneSet.from_arrays([n], [0.0])
+                got = True
+            except NonUnitNormal:
+                got = False
+            assert got == verdicts[-1]
+        assert 100 < sum(verdicts) < 1900  # both sides of the threshold seen
+
+    def test_row_flagged_by_the_screen_but_accepted_does_not_hide_later_faults(
+        self, monkeypatch
+    ):
+        # Should the vectorised norm screen ever flag a row that the single
+        # plane accepts, a later bad row must still raise.
+        import viviani.geometry as geometry
+
+        screen = geometry._unit_deviation
+        monkeypatch.setattr(geometry, "_unit_deviation",
+                            lambda N: screen(N) + (np.arange(len(N)) == 0))
+        N, c = self.base()
+        HyperplaneSet.from_arrays(N, c)  # row 0 flagged, then accepted
+        c[17] = np.nan
+        with pytest.raises(VivianiError, match="offset must be finite"):
+            HyperplaneSet.from_arrays(N, c)
+
+
+class TestNoPerPlaneObjects:
+    """The hot paths build arrays, not one validated plane object per row."""
+
+    def test_fermat_to_viviani(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        half = rng.normal(size=(5000, 3))
+        pts = np.vstack([half, -half])  # the origin's spokes cancel exactly
+        calls = count_calls(monkeypatch, OrientedHyperplane, "__post_init__")
+        S = fermat_to_viviani(pts, np.zeros(3))
+        assert len(S) == 10_000 and len(calls) == 0
+
+    def test_document_round_trip(self, monkeypatch):
+        S = random_hyperplane_set(np.random.default_rng(26), 3, 10_000)
+        calls = count_calls(monkeypatch, OrientedHyperplane, "__post_init__")
+        text = serialize_document(planes_document(S))
+        again = parse_document(text)
+        assert serialize_document(again) == text
+        assert len(calls) == 0
+
+    def test_polygon_to_hyperplanes(self, monkeypatch):
+        calls = count_calls(monkeypatch, OrientedHyperplane, "__post_init__")
+        S = polygon_to_hyperplanes(regular_polygon(12, 3.0))
+        assert len(S) == 12 and len(calls) == 0
+
+    def test_counter_sees_per_plane_construction(self, monkeypatch):
+        calls = count_calls(monkeypatch, OrientedHyperplane, "__post_init__")
+        HyperplaneSet((OrientedHyperplane(np.array([1.0, 0.0]), 0.0),
+                       OrientedHyperplane(np.array([0.0, 1.0]), 0.0)))
+        assert len(calls) == 2

@@ -21,6 +21,7 @@ from viviani import (
     classify_triangle,
     is_viviani_polygon,
     make_equiangular_polygon,
+    make_hyperplane_from_anchor,
     platonic_solid_normals,
     polygon_to_hyperplanes,
     regular_polygon,
@@ -107,6 +108,34 @@ class TestPolygonToHyperplanes:
         for i, p in enumerate(S):
             for vertex in (v[i], v[(i + 1) % 3]):
                 assert abs(signed_distance(vertex, p)) <= 1e-12 * (1 + abs(p.offset))
+
+
+    def test_matches_one_plane_per_edge_bit_for_bit(self):
+        # The vectorised build against one make_hyperplane_from_anchor call
+        # per edge, the per-plane construction it replaced.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            k = int(rng.integers(3, 16))
+            R = 10.0 ** rng.uniform(-8, 8)
+            poly = regular_polygon(k, R, center=rng.normal(size=2) * R * 10.0 ** rng.uniform(-1, 3),
+                                   phase=rng.uniform(0.0, 2.0 * np.pi))
+            v = poly.vertices
+            want = [
+                make_hyperplane_from_anchor((d[1], -d[0]), v[i])
+                for i, d in enumerate(np.roll(v, -1, axis=0) - v)
+            ]
+            S = polygon_to_hyperplanes(poly)
+            assert S.normals.tolist() == [p.normal.tolist() for p in want]
+            assert S.offsets.tolist() == [p.offset for p in want]
+
+    def test_short_edges_are_judged_relative_to_the_diameter(self):
+        # A hexagon of circumradius 1e-12 is a valid polygon; its edge
+        # normals are 1e-12 long before normalising, which an absolute 1e-12
+        # threshold rejected as a zero normal.
+        poly = regular_polygon(6, 1e-12)
+        S = polygon_to_hyperplanes(poly)
+        assert is_viviani_polygon(poly)
+        assert S.offsets == pytest.approx(np.full(6, apothem(6, 1e-12)), rel=1e-12)
 
 
 class TestVivianiPolygon:
