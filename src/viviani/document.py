@@ -87,7 +87,10 @@ def _require(cond: bool, where: str, what: str):
 def _as_number(x, where: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              where, "expected a number")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(f"{where}: number beyond the float range") from None
     _require(np.isfinite(v), where, "number must be finite")
     return v
 
@@ -280,7 +283,11 @@ def planes_document(S: HyperplaneSet, metadata: dict[str, str] | None = None) ->
 
 def points_document(points, dimension: int | None = None,
                     metadata: dict[str, str] | None = None) -> ConfigDocument:
+    """Points document for ``points``; non-finite coordinates are rejected,
+    since no JSON number can carry them back."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+    if not np.isfinite(pts).all():
+        raise VivianiError("point coordinates must be finite")
     pts.flags.writeable = False
     return ConfigDocument(dimension=dimension or pts.shape[1], points=pts,
                           metadata=dict(metadata or {}))

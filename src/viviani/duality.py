@@ -21,7 +21,7 @@ from .errors import (
     SpokeViolation,
     VivianiError,
 )
-from .fermat import PointSet, _as_points, _distances, _spread, geometric_median
+from .fermat import PointSet, _as_points, _distances, _norm, _spread, geometric_median
 from .geometry import (
     HyperplaneSet,
     OrientedHyperplane,
@@ -68,7 +68,7 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     if np.any(d <= 1e-12 * _spread(pts)):
         raise CoincidesWithAnchor("the base point coincides with an input point")
     normals = diff / d[:, None]
-    cert = float(np.linalg.norm((1.0 / d) @ diff))
+    cert = _norm((1.0 / d) @ diff)
     if cert > k * FERMAT_CERT_FACTOR:
         raise NotAFermatPoint(
             f"direction sum {cert!r} exceeds the certificate bound {k * FERMAT_CERT_FACTOR!r}"

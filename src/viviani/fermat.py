@@ -26,17 +26,29 @@ step and the reported objective all reuse them.  Spoke sums are the product
 collinearity (``_is_collinear``): a two-row lower bound on the second
 singular value clears almost every input without an SVD.
 
-The rescue stays cheap at large k.  The anchor test costs O(k n) per
-anchor, so the scan first drops every anchor that a proven lower bound on
-its objective, taken from the spokes at the current iterate, places above
-what any passing anchor can reach (``_certified_anchor``).  Only the few
-anchors near the iterate remain, and the answer is still the first passing
-anchor in index order.
+Anchors are certified, never scanned.  The anchor condition depends only
+on the points, so each anchor's certificate (O(k n)) is taken at most once
+per solve and kept.  It is taken for the anchor nearest an iterate that
+lands on a point or slows down, for the point that caps a polish step
+walking toward it, and for the next point ahead once a failing point caps
+a second step.  The distance sum is convex, so an anchor that passes
+is a global minimiser up to ``ANCHOR_SLACK``; the reported ``anchor_index``
+is the lowest index among the passing coincident copies of the first
+anchor the solve finds passing.  In a near-collinear valley, where several
+distinct anchors can pass within ``ANCHOR_SLACK``, that is the one the
+iteration meets, not necessarily the lowest index overall.
+
+Points are stored column-major (``PointSet.points`` is Fortran-ordered), so
+every pass over the (k, n) data -- the differences, ``_distances``, the
+axis-0 reductions and the weighted sums -- runs along the long k axis.
+Norms of n-vectors go through ``_norm``, numpy's own 1-D norm without its
+dispatch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,12 +76,17 @@ LINE_SEARCH_TRIALS = 4
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Ordered list of k >= 1 points of one dimension, stored as (k, n)."""
+    """Ordered list of k >= 1 points of one dimension, stored as (k, n).
+
+    ``points`` is a read-only copy in column-major (Fortran) order: each
+    coordinate is contiguous across the k points, which is the axis every
+    solver pass runs along.  Indexing yields a strided row view.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.array(self.points, dtype=float))
+        p = np.atleast_2d(np.array(self.points, dtype=float, order="F"))
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise VivianiError("expected a nonempty (k, n) array of points")
         if not np.all(np.isfinite(p)):
@@ -125,9 +142,16 @@ def _as_points(A) -> np.ndarray:
     return PointSet(A).points
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D vector, bit for bit as
+    ``np.linalg.norm`` gives it: numpy's own 1-D path (``sqrt(v.dot(v))``,
+    overflow and underflow included) without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def _spread(pts: np.ndarray) -> float:
     """Bounding-box diagonal, the scale for coincidence thresholds."""
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return _norm(pts.max(axis=0) - pts.min(axis=0))
 
 
 def _distances(diff: np.ndarray) -> np.ndarray:
@@ -173,82 +197,22 @@ def _anchor_certificate(pts: np.ndarray, idx: int, eta: float):
         return 0.0, m, np.zeros(pts.shape[1])
     w = np.divide(1.0, d, out=np.zeros_like(d), where=~near)
     R = w @ diff
-    return float(np.linalg.norm(R)), m, R
-
-
-def _certified_anchor(pts: np.ndarray, X: np.ndarray, eta: float, near_idx: int):
-    """First input point whose anchor condition certifies global optimality.
-
-    The distance sum is convex, so ``norm <= multiplicity`` at any anchor is
-    sufficient; no iterate needs to reach it.  For k > 4096 only the anchor
-    ``near_idx`` nearest the iterate ``X`` is tested.  For k <= 4096 the
-    answer is the first passing anchor in index order, exactly as a scan of
-    all k anchors gives, but only the anchors that a proven bound leaves in
-    play are tested: O(k n^2) work instead of O(k^2 n).
-
-    At ``X`` off every point, with distances ``d_j``, spokes
-    ``u_j = (p_j - X) / d_j``, ``R = sum u_j``, ``M = k I - U^T U`` and
-    ``D = max d_j``, every anchor ``i`` satisfies the lower bound
-
-        f(p_i) - f(X) >= d_i (d_i g_i / (2 (D + d_i)) - R.u_i),
-        g_i = u_i^T M u_i = k - sum_j (u_j.u_i)^2,
-
-    from ``|a| >= u.a + |a_perp|^2 / (2|a|)`` applied to each
-    ``a = p_j - p_i`` with ``u = u_j``, and ``|a| <= D + d_i``.  An anchor
-    passing its test (direction-sum norm at most ``m + ANCHOR_SLACK`` over
-    the points farther than ``eta``, ``m`` copies within ``eta``) is within
-    ``ANCHOR_SLACK`` of minimising the objective with its copies merged,
-    which moves ``f`` by at most ``m eta``; so
-
-        f(p_i) - f(X) <= ANCHOR_SLACK d_i + 2 k eta.
-
-    An anchor whose lower bound exceeds that upper bound cannot pass and is
-    skipped.  The comparison is made per unit of ``d_i``, so nothing
-    overflows, with a rounding margin ``tau = 4 n k (k + n) eps``: naive
-    sums of ``k`` unit-sized terms (``R``, ``U^T U`` and the anchor test's
-    own direction sum) are off by at most ``k^2 eps``, the spokes by
-    ``O(n eps)`` each, and the quadratic form multiplies the error of ``M``
-    by at most ``n``; ``1 + tau`` also covers the rounded distances of the
-    copies.  A ``NaN`` bound keeps its anchor.
-
-    Every anchor is tested when ``X`` coincides with a point (no spoke), or
-    when ``eta^2`` is below the normal range: there the anchor tests work
-    in subnormal distances, are not accurate to rounding, and the upper
-    bound no longer holds for them.
-    """
-    k, n = pts.shape
-    if k > 4096:
-        order = [near_idx]
-    else:
-        order = range(k)
-        diff = pts - X
-        d = _distances(diff)
-        if float(d.min()) > 0.0 and eta * eta >= np.finfo(float).tiny:
-            U = diff / d[:, None]
-            M = k * np.eye(n) - U.T @ U
-            g = np.einsum("ij,ij->i", U @ M, U)
-            lower = d * g / (2.0 * (float(d.max()) + d)) - U @ U.sum(axis=0)
-            tau = 4.0 * n * k * (k + n) * np.finfo(float).eps
-            upper = ANCHOR_SLACK + tau + 2.0 * k * eta * (1.0 + tau) / d
-            order = np.flatnonzero(~(lower > upper)).tolist()
-    for idx in order:
-        rnorm, mult, _ = _anchor_certificate(pts, idx, eta)
-        if rnorm <= mult + ANCHOR_SLACK:
-            return idx, rnorm
-    return None
+    return _norm(R), m, R
 
 
 def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
                    history: list[float] | None, diff: np.ndarray,
-                   d: np.ndarray, budget: int = 40
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   d: np.ndarray, *, passes: Callable[[int], bool],
+                   budget: int = 40
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """Damped Newton steps on the (smooth away from anchors) distance sum.
 
     Rescues the fixed-point iteration when the optimum sits in a nearly flat
     valley (almost-collinear inputs), where its contraction rate degrades to
     1 - O(valley width squared).  Takes ``diff = pts - X`` and its row norms
-    ``d`` and returns ``(X, diff, d)`` at the point it stops; each step takes
-    one distance pass, at its trial point.  The gradient is ``-(1/d) @ diff``.
+    ``d`` and returns ``(X, diff, d, None)`` at the point it stops; each step
+    takes one distance pass, at its trial point.  The gradient is
+    ``-(1/d) @ diff``.
     The Hessian ``sum (I - u u^T) / d`` is formed multiplied by the nearest
     distance ``c``, as ``(sum c/d) I - V^T V`` with rows
     ``V_j = u_j sqrt(c/d_j)``: one matmul of rows no longer than 1, which
@@ -256,9 +220,15 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     right-hand side is scaled by ``c`` to match.  Armijo backtracking keeps
     the objective non-increasing.  Its first trial goes at most half way to
     the nearest point ahead, whose ``1/d`` curvature the quadratic model
-    misses; a step still failing after ``LINE_SEARCH_TRIALS`` trials is
-    being pulled toward an anchor, and the polish hands back to the caller,
-    as it does near an anchor.
+    misses.  When that cap binds, the point ahead is tested with
+    ``passes(i)``; if its anchor certificate holds, the polish stops there
+    and returns ``(X, diff, d, i)``, since no step toward an optimal anchor
+    needs to be taken by halves.  When the same failing point caps a second
+    step, the next point ahead is tested as well: in a flat valley the
+    optimal anchor often lies just beyond a failing one that the polish
+    would otherwise approach by halves.  A step still failing after
+    ``LINE_SEARCH_TRIALS`` trials is being pulled toward an anchor, and the
+    polish hands back to the caller, as it does near an anchor.
 
     The Armijo test takes the change of the objective term by term, as
     ``sum (|s|^2 - 2 (p_j - X).s) / (|p_j - X - s| + |p_j - X|)`` for the
@@ -272,13 +242,14 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     """
     n = pts.shape[1]
     eye = np.eye(n)
+    crawl = None
     for _ in range(budget):
         c = float(d.min())
         if c <= eta:
             break
         w = 1.0 / d
         grad = -(w @ diff)
-        if float(np.linalg.norm(grad)) <= 0.25 * RESIDUAL_TARGET:
+        if _norm(grad) <= 0.25 * RESIDUAL_TARGET:
             break
         r = c * w
         V = diff * (np.sqrt(r) * w)[:, None]
@@ -291,15 +262,30 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         slope = float(grad @ p)
         if slope >= 0.0:
             break
-        reach = 0.5 * float(d[diff @ p > 0.0].min(initial=np.inf))
-        length = float(np.linalg.norm(p))
-        t = reach / length if length > reach else 1.0
+        ahead = np.where(diff @ p > 0.0, d, np.inf)
+        i = int(ahead.argmin())
+        reach = 0.5 * float(ahead[i])
+        length = _norm(p)
+        t = 1.0
+        if length > reach:
+            if passes(i):
+                return X, diff, d, i
+            if i == crawl:
+                # capped by the same failing point twice: the step is
+                # crawling onto it by halves along a valley whose optimum
+                # lies beyond it, so the next point ahead is tested too
+                ahead[i] = np.inf
+                j = int(ahead.argmin())
+                if ahead[j] < np.inf and passes(j):
+                    return X, diff, d, j
+            crawl = i
+            t = reach / length
         for _ in range(LINE_SEARCH_TRIALS):
             Xn = X + t * p
             if np.array_equal(Xn, X):
                 # the step is below the float spacing at X; halving t
                 # cannot move any coordinate either
-                return X, diff, d
+                return X, diff, d, None
             s = Xn - X
             diffn = pts - Xn
             dn = _distances(diffn)
@@ -312,7 +298,7 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         X, diff, d = Xn, diffn, dn
         if history is not None:
             history.append(float(d.sum()))
-    return X, diff, d
+    return X, diff, d, None
 
 
 def _collinear_median(X: np.ndarray, C: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -387,6 +373,15 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     polishes); a converged iterate with no polish left, or the last one at
     ``max_iter``, is returned with its residual, never an error.
     Deterministic for fixed input.
+
+    Each anchor's certificate is taken at most once per solve: for the
+    anchor nearest a slow, converged or captured iterate, and for the
+    points that cap a polish step (see ``_newton_polish``).  An anchor
+    optimum reports, as ``anchor_index``, the lowest index among the
+    coincident copies of the first anchor found passing whose own
+    certificate passes.  ``A`` may be a :class:`PointSet`, whose
+    column-major array is used as it is; any other input is copied into
+    one.
     """
     pts = _as_points(A)
     k, n = pts.shape
@@ -430,37 +425,54 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         if history is not None:
             history.append(float(d.sum()))
 
-    def anchor(idx, rnorm):
-        d = _distances(pts - pts[idx])
+    certificates = {}
+
+    def certificate(i):
+        # (norm, multiplicity, R) of anchor i; it depends on the points
+        # alone, so each anchor is tested at most once per solve
+        if i not in certificates:
+            certificates[i] = _anchor_certificate(pts, i, eta)
+        return certificates[i]
+
+    def passes(i):
+        rnorm, mult, _ = certificate(i)
+        return rnorm <= mult + ANCHOR_SLACK
+
+    def anchor(j):
+        # The answer at the passing anchor j: the lowest index among its
+        # coincident copies whose certificate passes (j itself at worst).
+        d = _distances(pts - pts[j])
+        i = next(i for i in np.flatnonzero(d <= eta).tolist() if passes(i))
+        if i != j:
+            d = _distances(pts - pts[i])
         record(d)
-        return finish(pts[idx], MedianStatus.ANCHOR_OPTIMUM, rnorm, idx, d)
+        return finish(pts[i], MedianStatus.ANCHOR_OPTIMUM, certificate(i)[0], i, d)
 
     def settle(X, diff, d, final):
         # The one place that chooses between an interior and an anchor
-        # answer at X (differences diff, distances d), in that order.  None
-        # if neither holds, unless final: then X is returned with its
-        # residual.
-        j = int(np.argmin(d))
+        # answer at X (differences diff, distances d), in that order: the
+        # interior certificate, then the nearest anchor's.  None if neither
+        # holds, unless final: then X is returned with its residual.
+        j = int(d.argmin())
         if d[j] <= eta:
-            r, _, _ = _anchor_certificate(pts, j, eta)
+            r = certificate(j)[0]
         else:
-            r = float(np.linalg.norm((1.0 / d) @ diff))
+            r = _norm((1.0 / d) @ diff)
             if r <= RESIDUAL_TARGET:
                 return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d)
-        hit = _certified_anchor(pts, X, eta, j)
-        if hit is not None:
-            return anchor(*hit)
+        if passes(j):
+            return anchor(j)
         return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d) if final else None
 
     record(d)
     polish_attempts = 0
     last_step = np.inf
     for iterations in range(1, max_iter + 1):
-        imin = int(np.argmin(d))
+        imin = int(d.argmin())
         if d[imin] <= eta:
-            rnorm, mult, R = _anchor_certificate(pts, imin, eta)
-            if rnorm <= mult + ANCHOR_SLACK:
-                return anchor(imin, rnorm)
+            if passes(imin):
+                return anchor(imin)
+            R = certificate(imin)[2]
             # not optimal: restart a small step along the descent direction,
             # long enough that its largest coordinate moves by at least four
             # float spacings, else far from the origin it rounds back onto
@@ -474,12 +486,12 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
             continue
         w = 1.0 / d
         Xn = (w @ pts) / w.sum()
-        step = float(np.linalg.norm(Xn - X))
+        step = _norm(Xn - X)
         X = Xn
         diff = pts - X
         d = _distances(diff)
         record(d)
-        xscale = 1.0 + float(np.linalg.norm(X))
+        xscale = 1.0 + _norm(X)
         converged = step <= tol * xscale
         slow = step > SLOW_RATIO * last_step
         last_step = step
@@ -492,7 +504,10 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                 return done
             if polish_attempts < 8:
                 polish_attempts += 1
-                X, diff, d = _newton_polish(pts, X, eta, history, diff, d)
+                X, diff, d, hit = _newton_polish(pts, X, eta, history, diff, d,
+                                                 passes=passes)
+                if hit is not None:
+                    return anchor(hit)
 
     # max_iter exhausted: certify what the last iterate allows
     return settle(X, diff, d, final=True)

@@ -61,6 +61,13 @@ class TestCheck:
         assert code == 2
         assert "line 1" in err
 
+    def test_integer_beyond_float_range(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"dimension": 1, "points": [[1' + "0" * 400 + ']]}')
+        code, _, err = run(capsys, "median", str(bad))
+        assert code == 2
+        assert "points[0][0]: number beyond the float range" in err
+
 
 class TestValue:
     def test_cube_value(self, capsys):

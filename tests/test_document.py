@@ -190,6 +190,13 @@ class TestRoundTrip:
         assert again.points.tolist() == doc.points.tolist()
         assert serialize_document(again) == serialize_document(doc)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_not_written(self, bad):
+        # JSON has no number for them, so such a document could not be
+        # read back
+        with pytest.raises(VivianiError, match="finite"):
+            points_document([[0.0, 1.0], [bad, 0.0]])
+
     def test_document_payload_accessors(self):
         doc = points_document([[0.0, 0.0], [1.0, 1.0]])
         assert doc.point_array().shape == (2, 2)
@@ -264,6 +271,14 @@ class TestBulkErrors:
         with pytest.raises(SchemaError) as err:
             parse_document(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("i", [0, 999])
+    def test_integer_beyond_float_range_named(self, i):
+        rows = [[0, 0]] * 1000
+        rows[i] = [1, 10 ** 400]
+        with pytest.raises(SchemaError) as err:
+            parse_document(json.dumps({"dimension": 2, "points": rows}))
+        assert str(err.value) == f"points[{i}][1]: number beyond the float range"
 
     def test_norm_tolerance_names_first_entry(self):
         entries = [UNIT] * 50
@@ -347,7 +362,6 @@ def seeded_documents():
     docs.append(points_document(rng.normal(size=(50, 4)) * 10.0 ** rng.uniform(-300, 300, (50, 4))))
     docs.append(polygon_document(regular_polygon(9, 1e-7, center=(5e-324, -0.0))))
     docs.append(polygon_document(make_equiangular_polygon([1, 2, 3, 1, 2, 3])))
-    docs.append(points_document([[np.nan, np.inf], [-np.inf, 0.0]]))
     return docs
 
 

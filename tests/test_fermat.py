@@ -18,6 +18,9 @@ from viviani import (
 
 from helpers import count_calls, equilateral_triangle, random_unit, rotation_2d
 
+#: The fixed planar set whose rescaled copies the median benchmark solves.
+SCALE_BASE = np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.5], [2.2, -1.3], [-0.7, 1.1]])
+
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
@@ -32,6 +35,20 @@ def count_svd_calls(monkeypatch) -> list:
     return count_calls(monkeypatch, np.linalg, "svd")
 
 
+def record_anchor_tests(monkeypatch) -> list:
+    """Record the anchor index of every ``fermat._anchor_certificate`` call
+    from here on; each call still runs."""
+    tested = []
+    certificate = fermat._anchor_certificate
+
+    def recorded(pts, idx, eta):
+        tested.append(idx)
+        return certificate(pts, idx, eta)
+
+    monkeypatch.setattr(fermat, "_anchor_certificate", recorded)
+    return tested
+
+
 class TestPointSet:
     def test_requires_points(self):
         with pytest.raises(VivianiError):
@@ -44,6 +61,34 @@ class TestPointSet:
     def test_single_point_ok(self):
         ps = PointSet(np.array([[1.0, 2.0, 3.0]]))
         assert ps.k == 1 and ps.dimension == 3
+
+    def test_points_are_column_major_and_read_only(self):
+        src = np.arange(12.0).reshape(4, 3)
+        ps = PointSet(src)
+        assert ps.points.flags.f_contiguous
+        assert not ps.points.flags.writeable
+        assert ps.points.tolist() == src.tolist()
+        assert not np.shares_memory(ps.points, src)
+
+
+class TestNorm:
+    def test_bit_identical_to_numpy(self):
+        # One vector per case, entries spread from 1e-200 to 1e200 so that
+        # the sum of squares overflows or underflows in some of them: both
+        # sides must then give the same inf or 0.
+        rng = np.random.default_rng(30)
+        overflowed = underflowed = 0
+        with np.errstate(over="ignore", under="ignore"):
+            for trial in range(3000):
+                n = int(rng.integers(1, 40))
+                v = rng.normal(size=n)
+                if trial % 3:
+                    v *= 10.0 ** rng.choice([-200.0, 200.0], size=n if trial % 2 else 1)
+                expected = float(np.linalg.norm(v))
+                assert fermat._norm(v) == expected
+                overflowed += expected == math.inf
+                underflowed += expected == 0.0
+        assert overflowed >= 100 and underflowed >= 100
 
 
 class TestTotalDistance:
@@ -324,15 +369,6 @@ class TestCollinearity:
         assert calls == []
 
 
-def _exhaustive_anchor(pts, eta):
-    """Reference for the pruned scan: test every anchor in index order."""
-    for idx in range(pts.shape[0]):
-        rnorm, mult, _ = fermat._anchor_certificate(pts, idx, eta)
-        if rnorm <= mult + fermat.ANCHOR_SLACK:
-            return idx
-    return None
-
-
 def _units(rng, m, n):
     v = rng.normal(size=(m, n))
     return v / np.linalg.norm(v, axis=1)[:, None]
@@ -369,41 +405,70 @@ def _scan_instance(rng, family, n):
 class TestAnchorScan:
     FAMILIES = ("cloud", "duplicates", "valley", "star", "ring")
 
-    def test_pruned_scan_matches_exhaustive(self):
-        rng = np.random.default_rng(20)
-        found = 0
-        for trial in range(100):
-            n = int(rng.choice([2, 3, 5]))
-            pts = _scan_instance(rng, self.FAMILIES[trial % 5], n)
-            spread = fermat._spread(pts)
-            eta = fermat.ANCHOR_ETA * spread
-            expected = _exhaustive_anchor(pts, eta)
-            found += expected is not None
-            median = geometric_median(pts).point
-            probes = [median + 10 ** rng.uniform(-12, 0) * spread * random_unit(rng, n)
-                      for _ in range(3)]
-            probes.append(pts.mean(axis=0))
-            i = int(rng.integers(pts.shape[0]))
-            probes.append(pts[i] + 1e-9 * spread * random_unit(rng, n))
-            for X in probes:
-                near = int(np.argmin(np.linalg.norm(pts - X, axis=1)))
-                hit = fermat._certified_anchor(pts, X, eta, near)
-                assert (None if hit is None else hit[0]) == expected
-        assert 20 <= found <= 80  # both outcomes are exercised
-
     def test_rescue_tests_few_anchors(self, monkeypatch):
-        calls = []
-        certificate = fermat._anchor_certificate
-
-        def counted(*args):
-            calls.append(args[1])
-            return certificate(*args)
-
-        monkeypatch.setattr(fermat, "_anchor_certificate", counted)
+        tested = record_anchor_tests(monkeypatch)
         pts = np.random.default_rng(0).normal(size=(2000, 3))
         res = geometric_median(pts)
         assert res.status is MedianStatus.INTERIOR_OPTIMUM
-        assert len(calls) <= 10
+        assert len(tested) <= 10
+
+    def test_each_anchor_is_tested_once_per_solve(self, monkeypatch):
+        # The anchor condition depends on the points alone, so no solve
+        # needs to test an anchor twice, however often it comes near it.
+        rng = np.random.default_rng(20)
+        sets = [_scan_instance(rng, self.FAMILIES[trial % 5], int(rng.choice([2, 3, 5])))
+                for trial in range(300)]
+        sets += [SCALE_BASE * scale for scale in (1e-300, 1e-160, 1e160)]
+        tested = record_anchor_tests(monkeypatch)
+        anchors = several = 0
+        with np.errstate(over="ignore"):  # the 1e160 copy overflows its norms
+            for pts in sets:
+                tested.clear()
+                res = geometric_median(pts)
+                assert len(tested) == len(set(tested))
+                anchors += res.status is MedianStatus.ANCHOR_OPTIMUM
+                several += len(tested) >= 2
+        assert anchors >= 50 and several >= 20
+
+    @pytest.mark.parametrize("pts, optimal", [
+        # The polish walks toward point 1, which is optimal.  Tested only as
+        # the nearest anchor, it is reached by halving the distance each
+        # Newton step, about 40 passes; tested when it caps the polish's
+        # step, it is taken at once.
+        ([[-0.7258660708708504, -0.043587246452589115],
+          [0.4503053944510131, -0.27637280066013115],
+          [0.41565984569573067, -0.2379548810517778],
+          [0.6692205367701218, -0.3227443771154724]], 1),
+        # A flat valley: the polish walks along it toward point 1, which
+        # fails its certificate by 3e-7, and point 0 just beyond it is
+        # optimal.  Tested once point 1 has capped a second step, point 0
+        # ends the solve; else the polish crawls onto point 1 by halves
+        # (about 45 passes) before the capture restart gets past it.
+        ([[-2.0206228582445753, 0.8045620876943644], [-2.03111415356723, 0.7645257073474933],
+          [-2.338561239623574, -0.40676171284501916], [-2.150588182810179, 0.30946134327031327],
+          [-2.0144702756988693, 0.8280285763139501], [-1.9533848820085915, 1.0606883487388379],
+          [-2.4345838130992705, -0.7722210789544864], [-1.979649867194779, 0.9606302009611757]], 0),
+    ], ids=["capped-point", "beyond-a-failing-point"])
+    def test_anchor_met_by_the_polish_ends_the_solve(self, pts, optimal, monkeypatch):
+        calls = count_distance_passes(monkeypatch)
+        res = geometric_median(np.array(pts))
+        assert res.status is MedianStatus.ANCHOR_OPTIMUM
+        assert res.anchor_index == optimal
+        assert len(calls) <= 12
+
+    def test_lowest_passing_copy_is_reported(self):
+        # Three copies of one point, apart by far less than the coincidence
+        # threshold, outweigh the two others wherever they sit in the list.
+        # Each copy passes, whichever the solver meets first; the lowest
+        # index among them is reported.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            copies = rng.normal(size=(1, 2)) + 1e-15 * rng.normal(size=(3, 2))
+            pts = np.vstack([copies, rng.normal(size=(2, 2))])
+            order = rng.permutation(5)
+            res = geometric_median(pts[order])
+            assert res.status is MedianStatus.ANCHOR_OPTIMUM
+            assert res.anchor_index == int(np.flatnonzero(order < 3)[0])
 
 
 class TestNewtonPolish:
@@ -427,8 +492,8 @@ class TestNewtonPolish:
         polish = fermat._newton_polish
         changes = []
 
-        def watched(pts, X, *args):
-            out = polish(pts, X, *args)
+        def watched(pts, X, *args, **kwargs):
+            out = polish(pts, X, *args, **kwargs)
             before = norm(pts - X, axis=1).sum()
             changes.append(norm(pts - out[0], axis=1).sum() - before)
             return out
