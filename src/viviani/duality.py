@@ -21,7 +21,15 @@ from .errors import (
     SpokeViolation,
     VivianiError,
 )
-from .fermat import PointSet, _as_points, _distances, _norm, _spread, geometric_median
+from .fermat import (
+    ANCHOR_ETA,
+    PointSet,
+    _as_points,
+    _distances,
+    _norm,
+    _spread,
+    geometric_median,
+)
 from .geometry import (
     HyperplaneSet,
     OrientedHyperplane,
@@ -65,7 +73,7 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     x = as_vector(P, dim=n)
     diff = pts - x
     d = _distances(diff)
-    if np.any(d <= 1e-12 * _spread(pts)):
+    if np.any(d <= ANCHOR_ETA * _spread(pts)):
         raise CoincidesWithAnchor("the base point coincides with an input point")
     normals = diff / d[:, None]
     cert = _norm((1.0 / d) @ diff)

@@ -328,16 +328,29 @@ def tetrahedron_family(t: float) -> HyperplaneSet:
 
 # --- validated H-representation ----------------------------------------------
 
+_LP_TOL = 1e-9  # both LP thresholds, in normal space and unit-scale coordinates
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexPolytopeH:
     """Bounded full-dimensional intersection of half-spaces {x : n.x <= c}.
 
-    Construction verifies that the planes are pairwise distinct as oriented
-    objects and probes boundedness and interior nonemptiness numerically
-    (subgradient descent with seeded random restarts, no LP).  The probes are
-    probabilistic: for generic inputs the chance of a wrong verdict is far
-    below 1e-6 per construction, but adversarially thin polytopes may be
-    misjudged.
+    Construction checks that the planes are pairwise distinct as oriented
+    objects, then decides boundedness and interior nonemptiness with two
+    small linear programs (scipy's HiGHS, imported on first use), so the
+    verdict is deterministic.  Both run in unit-scale coordinates: x0 is
+    the least-squares solution of N x0 = c, s = max|c - N x0|, and
+    x = x0 + s*y.  Duplicate offsets are judged against 1e-9 * s.
+
+    - Boundedness (Stiemke): maximise t subject to N^T lam = 0,
+      sum(lam) = 1, lam >= t.  With g = t* sigma_min(N) - |N^T lam*|,
+      every unit u has some n_i.u >= g/2, so the region lies within 2s/g
+      of x0.  It is called bounded iff g > 1e-9; an infeasible LP means
+      unbounded.
+    - Interior (Chebyshev centre): maximise r subject to N y + r <= b with
+      b = (c - N x0)/s.  The interior is called nonempty iff r* > 1e-9
+      and the point x0 + s*y* satisfies max(N x - c) < 0 in the caller's
+      own coordinates; that point is :meth:`interior_point`.
     """
 
     halfspaces: HyperplaneSet
@@ -348,17 +361,16 @@ class ConvexPolytopeH:
             hs = HyperplaneSet(tuple(hs))
             object.__setattr__(self, "halfspaces", hs)
         N, c = hs.normals, hs.offsets
-        scale = 1.0 + float(np.abs(c).max())
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                if (np.linalg.norm(N[i] - N[j]) <= 1e-9
-                        and abs(c[i] - c[j]) <= 1e-9 * scale):
-                    raise InvalidPolytope(f"halfspaces {i} and {j} coincide")
-        if not _positively_spans(N):
-            raise InvalidPolytope("region is unbounded (normals do not positively span)")
-        x = _interior_probe(N, c)
-        if x is None:
-            raise InvalidPolytope("region has empty interior")
+        x0 = np.linalg.lstsq(N, c, rcond=None)[0]
+        b = c - N @ x0
+        s = float(np.abs(b).max())
+        for i in range(len(c) - 1):
+            d = N[i + 1:] - N[i]
+            hit = (np.sqrt(_row_dots(d, d)) <= 1e-9) & (np.abs(c[i + 1:] - c[i]) <= 1e-9 * s)
+            if hit.any():
+                j = i + 1 + int(hit.argmax())
+                raise InvalidPolytope(f"halfspaces {i} and {j} coincide")
+        x = _lp_interior_point(N, c, x0, b, s)
         x.flags.writeable = False
         object.__setattr__(self, "_interior_point", x)
 
@@ -371,86 +383,33 @@ class ConvexPolytopeH:
         return self._interior_point
 
 
-def _positively_spans(N: np.ndarray) -> bool:
-    """Whether no unit u satisfies n_i . u <= 0 for all rows n_i.
+def _lp_interior_point(N, c, x0, b, s) -> np.ndarray:
+    """Run the two LPs of :class:`ConvexPolytopeH`; raise if either fails.
 
-    Equivalent to boundedness of {x : Nx <= c} (for feasible c): an escape
-    direction is a nonzero point of the cone {u : Nu <= 0}, and a nonzero
-    polyhedral cone contains a common null direction of all rows or an
-    extreme ray, i.e. a null direction of some n-1 rows.  Shortcuts first:
-    rows that cancel and span the space positively span it (any vector is a
-    nonnegative combination after adding enough of the zero sum).  For face
-    counts where enumerating row subsets is infeasible, falls back to a
-    seeded subgradient probe with a coarse threshold (documented as
-    probabilistic in :class:`ConvexPolytopeH`).
+    LP 1 is over (t, mu) with lam = t + mu and mu >= 0, so its constraint
+    matrix is (n + 1) x (k + 1), with no k x k block.  LP 2 is over (y, r).
     """
-    from itertools import combinations
+    from scipy.optimize import linprog
 
     k, n = N.shape
-    if k <= n:
-        return False  # fewer than n+1 halfspaces can never bound a region
-    if np.linalg.matrix_rank(N, tol=1e-9) < n:
-        return False  # common null direction
-    if np.linalg.norm(N.sum(axis=0)) <= DEFAULT_TOL:
-        return True
-    if n == 1:
-        return bool(N.min() < 0.0 < N.max())
-    if math.comb(k, n - 1) <= 20000:
-        for idx in combinations(range(k), n - 1):
-            sub = N[list(idx)]
-            s = np.linalg.svd(sub, compute_uv=False)
-            if s[-1] <= 1e-9:
-                continue  # nullity > 1; its rays recur in independent subsets
-            ray = np.linalg.svd(sub)[2][-1]
-            for cand in (ray, -ray):
-                if float(np.max(N @ cand)) <= 1e-9:
-                    return False
-        return True
-    return _span_probe(N)
-
-
-def _span_probe(N: np.ndarray, restarts: int = 64, iters: int = 400) -> bool:
-    """Probabilistic fallback: minimize max_i n_i . u over the sphere by
-    projected subgradient descent from seeded random starts; a small best
-    value means a near-escape direction exists."""
-    rng = np.random.default_rng(1234)
-    n = N.shape[1]
-    best = np.inf
-    for _ in range(restarts):
-        u = rng.normal(size=n)
-        u /= np.linalg.norm(u)
-        for it in range(iters):
-            d = N @ u
-            i = int(np.argmax(d))
-            best = min(best, float(d[i]))
-            u = u - (0.5 / math.sqrt(it + 1.0)) * N[i]
-            nu = np.linalg.norm(u)
-            if nu <= 1e-12:
-                break
-            u /= nu
-        if best <= 1e-2:
-            return False
-    return True
-
-
-def _interior_probe(N: np.ndarray, c: np.ndarray, iters: int = 2000):
-    """Point with max_i (n_i . x - c_i) < 0, or None if none was found.
-
-    Subgradient descent on the (convex, piecewise-linear) worst violation,
-    started from the centroid of the anchor feet of the planes.
-    """
-    scale = 1.0 + float(np.abs(c).max())
-    x = (c[:, None] * N).mean(axis=0)
-    best_x, best_g = x.copy(), np.inf
-    for it in range(iters):
-        viol = N @ x - c
-        i = int(np.argmax(viol))
-        g = float(viol[i])
-        if g < best_g:
-            best_g, best_x = g, x.copy()
-        if g < -1e-6 * scale:
-            break
-        x = x - (scale / math.sqrt(it + 1.0)) * N[i]
-    if best_g < -1e-9 * scale:
-        return best_x
-    return None
+    last = np.r_[np.zeros(n), 1.0]
+    A = np.empty((n + 1, k + 1))
+    A[:n, 0], A[:n, 1:] = N.sum(axis=0), N.T
+    A[n, 0], A[n, 1:] = k, 1.0
+    lp = linprog(np.r_[-1.0, np.zeros(k)], A_eq=A, b_eq=last, method="highs")
+    gap = 0.0
+    if lp.status == 0:
+        t = lp.x[0]
+        sv = np.linalg.svd(N, compute_uv=False)
+        sigma = sv[-1] if sv.size == n else 0.0
+        gap = t * sigma - float(np.linalg.norm(N.T @ (t + lp.x[1:])))
+    if not gap > _LP_TOL:
+        raise InvalidPolytope("region is unbounded (normals do not positively span)")
+    if s > 0.0:
+        lp = linprog(-last, A_ub=np.column_stack([N, np.ones(k)]), b_ub=b / s,
+                     bounds=(None, None), method="highs")
+        if lp.status == 0 and lp.x[n] > _LP_TOL:
+            x = x0 + s * lp.x[:n]
+            if float((N @ x - c).max()) < 0.0:
+                return x
+    raise InvalidPolytope("region has empty interior")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viviani
 from viviani import (
     ClosureViolation,
     ConvexPolygon,
@@ -371,6 +376,83 @@ class TestPolytopeH:
     )
     def test_platonic_solids_accepted(self, name):
         ConvexPolytopeH(platonic_solid_normals(name))
+
+    def assert_strictly_inside(self, poly):
+        N, c = poly.halfspaces.normals, poly.halfspaces.offsets
+        assert float((N @ poly.interior_point() - c).max()) < 0.0
+
+    def test_small_box_far_from_origin_accepted(self):
+        # A 2e-8 box at (50, 30) gets the verdict it gets at the origin.
+        N = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        poly = ConvexPolytopeH(HyperplaneSet.from_arrays(N, N @ [50.0, 30.0] + 1e-8))
+        self.assert_strictly_inside(poly)
+
+    @staticmethod
+    def tilted_set(eps, seed):
+        """20 "top" normals with first coordinate eps, 40 "bottom" ones with a
+        negative first coordinate, all at offset 1 in R^4.
+
+        Bounded for eps > 0, but only just: direction e1 meets the top
+        planes at slope eps.  At eps = 0, N e1 <= 0 and e1 escapes.
+        """
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(20, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        top = np.column_stack([np.full(20, eps), math.sqrt(1.0 - eps * eps) * v])
+        bottom = rng.normal(size=(40, 4))
+        bottom[:, 0] = -np.abs(bottom[:, 0])
+        bottom /= np.linalg.norm(bottom, axis=1)[:, None]
+        return HyperplaneSet.from_arrays(np.vstack([top, bottom]), np.ones(60))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nearly_unbounded_set_accepted(self, seed):
+        self.assert_strictly_inside(ConvexPolytopeH(self.tilted_set(0.001, seed)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_escape_direction_rejected_as_unbounded(self, seed):
+        with pytest.raises(InvalidPolytope, match="unbounded"):
+            ConvexPolytopeH(self.tilted_set(0.0, seed))
+
+    def test_verdict_ignores_scale_shift_and_order(self):
+        # The cube plus the redundant plane x <= 2.  Offsets are compared
+        # against the region's own scale, so at 1e-12 the planes x <= 1e-12
+        # and x <= 2e-12 stay distinct.
+        N = np.vstack([np.eye(3), -np.eye(3), np.eye(3)[:1]])
+        c = np.r_[np.ones(6), 2.0]
+        rng = np.random.default_rng(14)
+        for scale in (1e-12, 1.0, 1e12):
+            for shift in (0.0, 1.0, 1e4, 1e8):
+                for _ in range(3):
+                    x = rng.uniform(-1.0, 1.0, size=3) * shift * scale
+                    p = rng.permutation(7)
+                    S = HyperplaneSet.from_arrays(N[p], (scale * c + N @ x)[p])
+                    self.assert_strictly_inside(ConvexPolytopeH(S))
+
+    def test_duplicate_reports_first_pair(self):
+        normals = np.vstack([np.eye(2), -np.eye(2), -np.eye(2)[1:], np.eye(2)[:1]])
+        S = HyperplaneSet.from_arrays(normals, np.ones(6))
+        with pytest.raises(InvalidPolytope, match="halfspaces 0 and 5 coincide"):
+            ConvexPolytopeH(S)
+
+    def test_tetrahedron_family_are_polytopes(self):
+        # The paper's irregular Viviani tetrahedra enclose genuine regions.
+        for t in np.linspace(0.01, math.pi - 0.01, 100):
+            poly = ConvexPolytopeH(tetrahedron_family(float(t)))
+            self.assert_strictly_inside(poly)
+            again = ConvexPolytopeH(tetrahedron_family(float(t))).interior_point()
+            assert again.tobytes() == poly.interior_point().tobytes()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on the first ConvexPolytopeH construction only.
+        src = str(Path(viviani.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = ("import sys, viviani, viviani.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRegularPolygon:
