@@ -21,15 +21,7 @@ from .errors import (
     SpokeViolation,
     VivianiError,
 )
-from .fermat import (
-    ANCHOR_ETA,
-    PointSet,
-    _as_points,
-    _distances,
-    _norm,
-    _spread,
-    geometric_median,
-)
+from .fermat import ANCHOR_ETA, PointSet, _norm, _seen_from, geometric_median
 from .geometry import (
     HyperplaneSet,
     OrientedHyperplane,
@@ -43,7 +35,8 @@ from .polytope import ConvexPolygon
 #: k times this (looser than the solver's own certificate, so certified
 #: solver output always passes).
 FERMAT_CERT_FACTOR = 1e-6
-#: One-sidedness allows signed distances to cross zero by this much.
+#: One-sidedness allows signed distances ``c - n.P`` to cross zero by this
+#: much relative to the magnitudes ``|c| + |n|.|P|`` of their operands.
 ONE_SIDED_SLACK = 1e-12
 
 
@@ -66,14 +59,12 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     the unit directions from ``P`` to the points must sum to at most
     ``k * 1e-6`` in norm, else :class:`NotAFermatPoint`.  All signed
     distances from ``P`` to the result are the positive spoke lengths, and
-    the result's defect equals the certificate norm.
+    the result's defect equals the certificate norm.  The spokes are taken
+    in the solver's scale frame, so any scale from 1e-300 to 1e300 works.
     """
-    pts = _as_points(A)
-    k, n = pts.shape
-    x = as_vector(P, dim=n)
-    diff = pts - x
-    d = _distances(diff)
-    if np.any(d <= ANCHOR_ETA * _spread(pts)):
+    pts, diff, d, _, diag = _seen_from(P, A)
+    k = pts.shape[0]
+    if np.any(d <= ANCHOR_ETA * diag):
         raise CoincidesWithAnchor("the base point coincides with an input point")
     normals = diff / d[:, None]
     cert = _norm((1.0 / d) @ diff)
@@ -89,8 +80,9 @@ def viviani_to_fermat(S: HyperplaneSet, P, tol: float = 1e-9) -> PointSet:
     """Feet of the perpendiculars from ``P`` onto each plane of ``S``.
 
     Requires ``S`` to be Viviani at ``tol`` and ``P`` to be one-sided: all
-    signed distances >= -1e-12, or all <= 1e-12 (:class:`MixedSigns`
-    otherwise).  ``P`` is then the Fermat point of the returned set; the
+    signed distances ``c_i - n_i.P`` >= -1e-12 (|c_i| + |n_i|.|P|), or all
+    <= that (:class:`MixedSigns` otherwise), a slack that scales with the
+    plane set.  ``P`` is then the Fermat point of the returned set; the
     inequality is strict for every other point when the feet are
     non-collinear.
     """
@@ -98,7 +90,8 @@ def viviani_to_fermat(S: HyperplaneSet, P, tol: float = 1e-9) -> PointSet:
         raise NotViviani(f"defect exceeds {tol!r}")
     x = as_vector(P, dim=S.dimension)
     dists = S.offsets - S.normals @ x
-    if not (np.all(dists >= -ONE_SIDED_SLACK) or np.all(dists <= ONE_SIDED_SLACK)):
+    slack = ONE_SIDED_SLACK * (np.abs(S.offsets) + np.abs(S.normals) @ np.abs(x))
+    if not (np.all(dists >= -slack) or np.all(dists <= slack)):
         raise MixedSigns("signed distances from the point change sign")
     feet = x[None, :] + dists[:, None] * S.normals
     return PointSet(feet)

@@ -8,15 +8,19 @@ toward the other points have a sum of norm at most 1.  Both conditions are
 computed and reported as the ``residual`` of the returned result, so every
 answer carries a numerical certificate.
 
+All distances are taken in one frame (``_frame``): the points minus their
+centroid ``c``, divided by an exact power of two ``u`` (1 for ordinary
+inputs), so no squared distance overflows or underflows from 1e-300 to 1e300
+or at any offset.  Answers map back as ``c + u y``, rounded as ``MedianResult``
+bounds (an anchor is its input row); objective and ``history`` scale by ``u``.
+
 The solver is Weiszfeld fixed-point iteration from the centroid, used only
 to globalise: whenever a step fails to shrink by ``SLOW_RATIO``, and at
 convergence, the certificates (interior, then the anchors') are tried, then
 a damped Newton polish with a bounded line search.  Iterates landing on an
 input point are certified as the anchor optimum or pushed a small step
-along the descent direction, at least a few float spacings long; exactly
-collinear inputs get a closed-form 1-D median.  The objective is
-non-increasing up to rounding; at a +1e12 offset the two kinds of step can
-trade the iterate between neighbouring floats.
+along the descent direction; exactly collinear inputs get a closed-form 1-D
+median.  The objective is non-increasing up to rounding.
 
 Each iterate costs one pass over the (k, n) data: the differences
 ``p_j - X`` and their norms (``_distances``) are taken once, right after the
@@ -55,7 +59,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoincidesWithAnchor, VivianiError
-from .geometry import as_vector
+from .geometry import _scale_unit, as_vector
 
 #: Anchor optimality accepts a direction-sum norm up to (multiplicity + this).
 ANCHOR_SLACK = 1e-9
@@ -86,11 +90,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.array(self.points, dtype=float, order="F"))
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise VivianiError("expected a nonempty (k, n) array of points")
-        if not np.all(np.isfinite(p)):
-            raise VivianiError("point coordinates must be finite")
+        p = _points_copy(self.points)
         p.flags.writeable = False
         object.__setattr__(self, "points", p)
 
@@ -119,6 +119,10 @@ class MedianStatus(Enum):
 class MedianResult:
     """Solver output.
 
+    ``objective`` and ``residual`` are those of the unrounded answer
+    ``c + u y``; rounding it to ``point`` adds at most ``k |point - (c + u
+    y)|`` to the distance sum: about 1e-16 relative at ordinary scales, the
+    float spacing (1.2e-4) per point at a +1e12 offset.
     ``residual`` is the norm of the optimality certificate: the direction
     sum at the point for interior optima (contract: <= k*1e-8), the
     direction sum over the other points for anchor optima (contract:
@@ -136,10 +140,15 @@ class MedianResult:
     history: tuple[float, ...] | None = None
 
 
-def _as_points(A) -> np.ndarray:
-    if isinstance(A, PointSet):
-        return A.points
-    return PointSet(A).points
+def _points_copy(A) -> np.ndarray:
+    """A validated, writeable column-major copy of the points of ``A``."""
+    p = np.atleast_2d(np.array(A.points if isinstance(A, PointSet) else A,
+                               dtype=float, order="F"))
+    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+        raise VivianiError("expected a nonempty (k, n) array of points")
+    if not np.all(np.isfinite(p)):
+        raise VivianiError("point coordinates must be finite")
+    return p
 
 
 def _norm(v: np.ndarray) -> float:
@@ -149,9 +158,28 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _spread(pts: np.ndarray) -> float:
-    """Bounding-box diagonal, the scale for coincidence thresholds."""
-    return _norm(pts.max(axis=0) - pts.min(axis=0))
+def _frame(P: np.ndarray):
+    """``(c, u, Q, diag)`` with ``Q = (P - c)/u``, taken in place over ``P``:
+    ``c`` is the centroid, ``u`` the power of two that brings the box
+    half-width into [2^-400, 2^400] (``geometry._scale_unit``), ``diag`` the
+    box diagonal in units of ``u``."""
+    w = P.max(axis=0) - P.min(axis=0)
+    u = _scale_unit(0.5 * float(w.max()))
+    c = P.mean(axis=0)
+    P -= c
+    if u != 1.0:
+        P /= u
+    return c, u, P, _norm(w / u)
+
+
+def _seen_from(X, A):
+    """``(pts, diff, d, u, diag)``: the points of ``A``, their frame
+    differences ``diff = Q - (X - c)/u`` from ``X`` and the norms ``d``."""
+    pts = _points_copy(A)
+    x = as_vector(X, dim=pts.shape[1])
+    c, u, Q, diag = _frame(pts.copy(order="F"))
+    diff = Q - (x - c) / u
+    return pts, diff, _distances(diff), u, diag
 
 
 def _distances(diff: np.ndarray) -> np.ndarray:
@@ -161,9 +189,8 @@ def _distances(diff: np.ndarray) -> np.ndarray:
 
 def total_distance(X, A) -> float:
     """Sum of Euclidean distances from ``X`` to every point of ``A``."""
-    pts = _as_points(A)
-    x = as_vector(X, dim=pts.shape[1])
-    return float(_distances(pts - x).sum())
+    _, _, d, u, _ = _seen_from(X, A)
+    return u * float(d.sum())
 
 
 def direction_sum_at(X, A) -> np.ndarray:
@@ -172,11 +199,8 @@ def direction_sum_at(X, A) -> np.ndarray:
     Zero at an interior optimum.  Raises :class:`CoincidesWithAnchor` when
     ``X`` is within 1e-12 of the point spread of an input point.
     """
-    pts = _as_points(A)
-    x = as_vector(X, dim=pts.shape[1])
-    diff = pts - x
-    d = _distances(diff)
-    if np.any(d <= ANCHOR_ETA * _spread(pts)):
+    _, diff, d, _, diag = _seen_from(X, A)
+    if np.any(d <= ANCHOR_ETA * diag):
         raise CoincidesWithAnchor("query point coincides with an input point")
     out = (1.0 / d) @ diff
     out.flags.writeable = False
@@ -301,20 +325,14 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     return X, diff, d, None
 
 
-def _collinear_median(X: np.ndarray, C: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """1-D median of the points ``X + C`` along the common line through the
-    centroid ``X`` with unit direction ``u``: midpoint of the interval
+def _collinear_median(C: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1-D median of the centred points ``C`` along their common line
+    through the origin with unit direction ``e``: midpoint of the interval
     between the two middle order statistics (the interval degenerates for
     odd counts)."""
-    t = np.sort(C @ u)
+    t = np.sort(C @ e)
     k = t.size
-    tstar = 0.5 * (t[(k - 1) // 2] + t[k // 2])
-    return X + tstar * u
-
-
-#: Smallest squared Frobenius norm for which ``_is_collinear`` trusts its
-#: bound: ``tiny / eps^2``, so its squared norms keep full precision.
-_SQUARES_SAFE = np.finfo(float).tiny / np.finfo(float).eps ** 2
+    return 0.5 * (t[(k - 1) // 2] + t[k // 2]) * e
 
 
 def _is_collinear(C: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -335,11 +353,10 @@ def _is_collinear(C: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     ``2 COLLINEAR_RATIO |C|_F`` the points are not collinear, and the SVD
     criterion gives the same verdict: the factor 2 leaves room for rounding
     errors of up to ``COLLINEAR_RATIO |C|_F`` (about 4500 eps |C|_F) in the
-    bound and in the SVD's singular values.  The bound is trusted only while
-    ``|C|_F^2`` is finite and at least ``tiny / eps^2``, so that the squared
-    norms it uses lose nothing to underflow; every other input, and every
-    input that fails the bound, runs the SVD, which also returns the
-    direction.
+    bound and in the SVD's singular values.  ``C`` is in the solver's frame,
+    where ``|C|_F^2`` lies between 2^-800 and ``4 k n 2^802``, so the squared
+    norms of the bound lose nothing to underflow or overflow.  Every input
+    that fails the bound runs the SVD, which also returns the direction.
 
     The bound is there for large ``k n``: it takes O(k n) work against the
     SVD's O(k n^2), which at n = 50 and k = 1000 is a large share of the
@@ -347,17 +364,15 @@ def _is_collinear(C: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     """
     k, n = C.shape
     if n > 1 and k > 2:
-        F2 = float(d @ d)
-        if _SQUARES_SAFE <= F2 < math.inf:
-            i = int(d.argmax())
-            a_hat = C[i] / d[i]
-            along = C @ a_hat
-            j = int((d * d - along * along).argmax())
-            b_perp = C[j] - along[j] * a_hat
-            da, db = float(d[i]), float(d[j])
-            lower = da * math.sqrt(float(b_perp @ b_perp)) / math.hypot(da, db)
-            if lower > 2.0 * COLLINEAR_RATIO * math.sqrt(F2):
-                return None
+        i = int(d.argmax())
+        a_hat = C[i] / d[i]
+        along = C @ a_hat
+        j = int((d * d - along * along).argmax())
+        b_perp = C[j] - along[j] * a_hat
+        da, db = float(d[i]), float(d[j])
+        lower = da * math.sqrt(float(b_perp @ b_perp)) / math.hypot(da, db)
+        if lower > 2.0 * COLLINEAR_RATIO * math.sqrt(float(d @ d)):
+            return None
     _, s, vt = np.linalg.svd(C, full_matrices=False)
     if n == 1 or k == 2 or s[1] <= COLLINEAR_RATIO * s[0]:
         return vt[0]
@@ -368,7 +383,8 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                      record_history: bool = False) -> MedianResult:
     """Minimize the distance sum to the points of ``A``.
 
-    ``tol`` is the relative step-length stopping threshold.  Each slow or
+    ``tol`` is the relative step-length stopping threshold in the caller's
+    units (a step of at most ``tol (1 + |x|)`` has converged).  Each slow or
     converged step is certified if it can be, else polished (at most eight
     polishes); a converged iterate with no polish left, or the last one at
     ``max_iter``, is returned with its residual, never an error.
@@ -379,47 +395,45 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     points that cap a polish step (see ``_newton_polish``).  An anchor
     optimum reports, as ``anchor_index``, the lowest index among the
     coincident copies of the first anchor found passing whose own
-    certificate passes.  ``A`` may be a :class:`PointSet`, whose
-    column-major array is used as it is; any other input is copied into
-    one.
+    certificate passes.  ``A`` may be a :class:`PointSet` or any (k, n)
+    array; the solve makes one column-major copy of it, which ``_frame``
+    turns into ``Q`` in place.
     """
-    pts = _as_points(A)
-    k, n = pts.shape
+    c, u, Q, diag = _frame(_points_copy(A))
+    k, n = Q.shape
     if tol <= 0.0:
         raise VivianiError("tol must be positive")
     history: list[float] | None = [] if record_history else None
     iterations = 0
 
-    def finish(point, status, residual, anchor_index=None, d=None):
-        # d: the distances at point, when the caller holds them
-        p = np.array(point, dtype=float)
+    def finish(y, status, residual, d, anchor_index=None):
+        # y: the answer in the frame, d: the frame distances at it
+        p = c + u * y if anchor_index is None else np.array(_points_copy(A)[anchor_index])
         p.flags.writeable = False
-        if d is None:
-            d = _distances(pts - p)
         return MedianResult(
             point=p,
-            objective=float(d.sum()),
+            objective=u * float(d.sum()),
             status=status,
             residual=float(residual),
             iterations=iterations,
             anchor_index=anchor_index,
-            history=tuple(history) if history is not None else None,
+            history=tuple(u * h for h in history) if history is not None else None,
         )
 
-    spread = _spread(pts)
-    if k == 1 or spread == 0.0:
+    if k == 1 or diag == 0.0:
         # single point, or k coincident copies of one point
-        return finish(pts[0], MedianStatus.ANCHOR_OPTIMUM, 0.0, anchor_index=0)
+        return finish(None, MedianStatus.ANCHOR_OPTIMUM, 0.0, np.zeros(k), 0)
 
-    eta = ANCHOR_ETA * spread
+    eta = ANCHOR_ETA * diag
+    cu = c / u  # x = c + u X, so the caller's tol (1 + |x|) is u tol (1/u + |X + cu|)
 
-    X = pts.mean(axis=0)
-    diff = pts - X
+    X = np.zeros(n)
+    diff = Q
     d = _distances(diff)
     line = _is_collinear(diff, d)
     if line is not None:
-        point = _collinear_median(X, diff, line)
-        return finish(point, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0)
+        y = _collinear_median(diff, line)
+        return finish(y, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0, _distances(Q - y))
 
     def record(d):
         if history is not None:
@@ -431,7 +445,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         # (norm, multiplicity, R) of anchor i; it depends on the points
         # alone, so each anchor is tested at most once per solve
         if i not in certificates:
-            certificates[i] = _anchor_certificate(pts, i, eta)
+            certificates[i] = _anchor_certificate(Q, i, eta)
         return certificates[i]
 
     def passes(i):
@@ -441,12 +455,12 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     def anchor(j):
         # The answer at the passing anchor j: the lowest index among its
         # coincident copies whose certificate passes (j itself at worst).
-        d = _distances(pts - pts[j])
+        d = _distances(Q - Q[j])
         i = next(i for i in np.flatnonzero(d <= eta).tolist() if passes(i))
         if i != j:
-            d = _distances(pts - pts[i])
+            d = _distances(Q - Q[i])
         record(d)
-        return finish(pts[i], MedianStatus.ANCHOR_OPTIMUM, certificate(i)[0], i, d)
+        return finish(None, MedianStatus.ANCHOR_OPTIMUM, certificate(i)[0], d, i)
 
     def settle(X, diff, d, final):
         # The one place that chooses between an interior and an anchor
@@ -459,10 +473,10 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         else:
             r = _norm((1.0 / d) @ diff)
             if r <= RESIDUAL_TARGET:
-                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d)
+                return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d)
         if passes(j):
             return anchor(j)
-        return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d=d) if final else None
+        return finish(X, MedianStatus.INTERIOR_OPTIMUM, r, d) if final else None
 
     record(d)
     polish_attempts = 0
@@ -472,27 +486,20 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         if d[imin] <= eta:
             if passes(imin):
                 return anchor(imin)
-            R = certificate(imin)[2]
-            # not optimal: restart a small step along the descent direction,
-            # long enough that its largest coordinate moves by at least four
-            # float spacings, else far from the origin it rounds back onto
-            # the point and the next pass lands here again
-            P = pts[imin]
-            h = 4.0 * float(np.spacing(np.abs(P).max())) / float(np.abs(R).max())
-            X = P + max(eta * 1e3, h) * R
-            diff = pts - X
+            # not optimal: restart a small step along the descent direction
+            X = Q[imin] + (eta * 1e3) * certificate(imin)[2]
+            diff = Q - X
             d = _distances(diff)
             record(d)
             continue
         w = 1.0 / d
-        Xn = (w @ pts) / w.sum()
+        Xn = (w @ Q) / w.sum()
         step = _norm(Xn - X)
         X = Xn
-        diff = pts - X
+        diff = Q - X
         d = _distances(diff)
         record(d)
-        xscale = 1.0 + _norm(X)
-        converged = step <= tol * xscale
+        converged = step <= tol * (1.0 / u + _norm(X + cu))
         slow = step > SLOW_RATIO * last_step
         last_step = step
         if converged or slow:
@@ -504,7 +511,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                 return done
             if polish_attempts < 8:
                 polish_attempts += 1
-                X, diff, d, hit = _newton_polish(pts, X, eta, history, diff, d,
+                X, diff, d, hit = _newton_polish(Q, X, eta, history, diff, d,
                                                  passes=passes)
                 if hit is not None:
                     return anchor(hit)

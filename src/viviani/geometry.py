@@ -21,10 +21,19 @@ A :class:`HyperplaneSet` stores such a multiset as arrays: a (k, n) array
 of unit normals and a (k,) array of offsets, both read-only, validated in
 one vectorised pass.  :class:`OrientedHyperplane` is the single-plane type;
 indexing or iterating a set yields one per row.
+
+Tolerances follow one rule.  Point-space tolerances (coincidence,
+one-sidedness, degeneracy) scale with the magnitude of their operands, so
+translating or scaling an input never changes a verdict.  Normal-space
+tolerances (the defect, unit length) stay absolute, since unit normals have
+no scale.  Norms of point-space vectors are taken after dividing by the
+power of two of :func:`_scale_unit`, which is exact and leaves ordinary
+magnitudes untouched, so their squares neither overflow nor underflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,7 +46,6 @@ from .errors import DimensionMismatch, NonUnitNormal, VivianiError, ZeroNormal
 #: is scale-free in the coordinates.
 DEFAULT_TOL = 1e-9
 
-_ZERO_NORM = 1e-12
 _UNIT_SLACK = 1e-9
 
 
@@ -177,6 +185,16 @@ class HyperplaneSet:
                 f"{self.offsets.tolist()})")
 
 
+def _scale_unit(length: float) -> float:
+    """The power of two that point-space quantities of magnitude ``length``
+    are divided by before they are squared: 1 when ``length`` lies in
+    [2^-400, 2^400] (or is 0), so ordinary inputs are not divided at all;
+    else the power of two that brings ``length`` into [1, 2)."""
+    if length == 0.0 or 2.0 ** -400 <= length <= 2.0 ** 400:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(length)[1] - 1)
+
+
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot products of matching rows, each rounded exactly as ``a @ b``.
 
@@ -194,16 +212,19 @@ def _unit_deviation(normals: np.ndarray) -> np.ndarray:
 def make_hyperplane_from_anchor(normal_raw, anchor) -> OrientedHyperplane:
     """Hyperplane through ``anchor`` oriented along ``normal_raw``.
 
-    The direction is normalized; the offset is fixed so the anchor lies on
-    the plane.  Raises :class:`ZeroNormal` for directions shorter than 1e-12
-    and :class:`DimensionMismatch` when the two vectors disagree.
+    The direction is normalized at any scale: it is first divided by the
+    power of two of :func:`_scale_unit`, so ``(1e-300, 0)`` and
+    ``(1e300, 1e300)`` give unit normals.  The offset is fixed so the anchor
+    lies on the plane.  Raises :class:`ZeroNormal` for the zero vector and
+    :class:`DimensionMismatch` when the two vectors disagree.
     """
     d = as_vector(normal_raw)
     a = as_vector(anchor, dim=d.size)
-    length = float(np.linalg.norm(d))
-    if length <= _ZERO_NORM:
-        raise ZeroNormal(f"direction norm {length!r} is below {_ZERO_NORM}")
-    n = d / length
+    top = float(np.abs(d).max())
+    if top == 0.0:
+        raise ZeroNormal("direction is the zero vector")
+    d = d / _scale_unit(top)
+    n = d / float(np.linalg.norm(d))
     return OrientedHyperplane(n, float(n @ a))
 
 

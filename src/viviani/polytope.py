@@ -26,7 +26,14 @@ from .errors import (
     UnknownSolid,
     VivianiError,
 )
-from .geometry import DEFAULT_TOL, HyperplaneSet, _row_dots, as_vector, is_viviani
+from .geometry import (
+    DEFAULT_TOL,
+    HyperplaneSet,
+    _row_dots,
+    _scale_unit,
+    as_vector,
+    is_viviani,
+)
 
 _REL_EPS = 1e-12  # relative threshold for degeneracy checks, scaled by diameter
 
@@ -38,7 +45,10 @@ class ConvexPolygon:
     Clockwise input is reoriented silently (orientation is presentation, the
     outward-normal contract is what matters).  Repeated vertices or collinear
     edges are rejected.  "Diameter" below always means the bounding-box
-    diagonal, which is within sqrt(2) of the true diameter.
+    diagonal, which is within sqrt(2) of the true diameter.  The diameter,
+    orientation, repeated-vertex and convexity tests all act on differences
+    of the vertices divided by the power of two of
+    ``geometry._scale_unit``, so they hold at any scale.
     """
 
     vertices: np.ndarray
@@ -51,16 +61,18 @@ class ConvexPolygon:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidPolygon("vertex coordinates must be finite")
-        diam = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+        box = v.max(axis=0) - v.min(axis=0)
+        u = _scale_unit(0.5 * float(box.max()))
+        diam = float(np.linalg.norm(box / u))
         if diam <= 0.0:
             raise InvalidPolygon("all vertices coincide")
-        # shoelace sign; flip clockwise input to counterclockwise
-        w = _next_rows(v)
-        area2 = float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
-        if area2 < 0.0:
-            v = v[::-1].copy()
-            w = _next_rows(v)
-        edges = w - v
+        # shoelace sign, taken about the first vertex; flip clockwise input
+        # to counterclockwise
+        s = v / u
+        e, f = s - s[0], _next_rows(s) - s[0]
+        if float(np.sum(e[:, 0] * f[:, 1] - f[:, 0] * e[:, 1])) < 0.0:
+            v, s = v[::-1].copy(), s[::-1]
+        edges = _next_rows(s) - s
         if np.any(np.linalg.norm(edges, axis=1) <= _REL_EPS * diam):
             raise InvalidPolygon("repeated vertices")
         turn = _next_rows(edges)
@@ -69,7 +81,7 @@ class ConvexPolygon:
             raise InvalidPolygon("polygon is not strictly convex")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "_diameter", diam)
+        object.__setattr__(self, "_diameter", u * diam)
 
     @property
     def k(self) -> int:
@@ -105,10 +117,13 @@ def polygon_to_hyperplanes(G: ConvexPolygon) -> HyperplaneSet:
     Each line passes through both endpoints of its edge; for counterclockwise
     vertices the outward normal of edge direction (dx, dy) is (dy, -dx).
     :class:`ConvexPolygon` guarantees every edge is longer than 1e-12 of
-    the diameter, so every edge length here is positive.
+    the diameter, so every edge length here is positive; the edge vectors
+    are divided by a power of two before their norms are taken, so that holds
+    at any scale.
     """
     v = G.vertices
     raw = (_next_rows(v) - v)[:, ::-1] * (1.0, -1.0)
+    raw /= _scale_unit(float(np.abs(raw).max()))
     normals = raw / np.sqrt(_row_dots(raw, raw))[:, None]
     return HyperplaneSet.from_arrays(normals, _row_dots(normals, v))
 

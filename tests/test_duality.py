@@ -133,6 +133,20 @@ class TestVivianiToFermat:
         with pytest.raises(MixedSigns):
             viviani_to_fermat(S, (10.0, 10.0))
 
+    def test_one_sided_slack_scales_with_the_planes(self):
+        # Vertices and edge midpoints lie on one or two planes; rounding in
+        # c - n.P grows with the size of the pentagon, and so does the slack.
+        # A point 1e-6 R outside one edge is rejected at every size.
+        for R in (1.0, 1e6, 1e12):
+            pent = regular_polygon(5, R)
+            S = polygon_to_hyperplanes(pent)
+            v = pent.vertices
+            mids = 0.5 * (v + np.roll(v, -1, axis=0))
+            for P in np.vstack([v, mids]):
+                viviani_to_fermat(S, P)
+            with pytest.raises(MixedSigns):
+                viviani_to_fermat(S, mids[0] + 1e-6 * R * S.normals[0])
+
     def test_not_viviani_rejected(self):
         S = HyperplaneSet.from_arrays(np.array([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
         with pytest.raises(NotViviani):

@@ -57,6 +57,17 @@ class TestConstruction:
         with pytest.raises(ZeroNormal):
             make_hyperplane_from_anchor((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("raw, unit", [
+        ((1e-13, 0.0), [1.0, 0.0]),
+        ((1e-300, 0.0), [1.0, 0.0]),
+        ((1e300, 1e300), [math.sqrt(0.5), math.sqrt(0.5)]),
+    ], ids=["1e-13", "1e-300", "1e300"])
+    def test_from_anchor_normalizes_any_length(self, raw, unit):
+        # only the zero vector has no direction; a point-space length
+        # threshold, or squaring before scaling, rejected these
+        p = make_hyperplane_from_anchor(raw, (0.0, 0.0))
+        assert p.normal.tolist() == pytest.approx(unit, abs=1e-15)
+
     def test_from_anchor_3d(self):
         p = make_hyperplane_from_anchor((0, 0, 3), (1, 1, -2))
         assert p.normal.tolist() == [0.0, 0.0, 1.0]

@@ -142,6 +142,14 @@ class TestPolygonToHyperplanes:
         assert is_viviani_polygon(poly)
         assert S.offsets == pytest.approx(np.full(6, apothem(6, 1e-12)), rel=1e-12)
 
+    @pytest.mark.parametrize("R", [1e-200, 1e-160, 1e154, 1e200])
+    def test_hexagon_at_any_scale(self, R):
+        # Squared lengths of these edges underflow or overflow unless they
+        # are scaled first.
+        poly = regular_polygon(6, R)
+        assert poly.diameter == pytest.approx(math.sqrt(7.0) * R, rel=1e-12)
+        assert is_viviani_polygon(poly)
+
 
 class TestVivianiPolygon:
     def test_equilateral_true(self):

@@ -1,0 +1,160 @@
+"""Scaled and shifted copies of a point set give the same answers.
+
+The median solver and the functions that measure a point set from a query
+point (``total_distance``, ``direction_sum_at``, ``fermat_to_viviani``) take
+their distances in one power-of-two scale frame, so a copy scaled anywhere
+from 1e-300 to 1e300, or shifted by up to 1e12, is handled as the set itself
+is.  A shifted copy is compared with the translate it really is,
+``(P + shift) - shift``, which floats hold exactly, and its answers within
+the float spacing at the shift, which is all that floats can represent
+there.  These tests run under ``error::RuntimeWarning``, so any overflow on
+the way fails them.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from viviani import (
+    MedianStatus,
+    VivianiError,
+    direction_sum_at,
+    fermat_to_viviani,
+    geometric_median,
+    points_document,
+    serialize_document,
+    total_distance,
+)
+from viviani import fermat
+from viviani.cli import run_cli
+
+from helpers import count_calls
+
+#: The fixed planar set whose rescaled copies the median benchmark solves.
+SCALE_BASE = np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.5], [2.2, -1.3], [-0.7, 1.1]])
+#: A query point that every shift below moves exactly.
+QUERY = np.array([0.5, 0.25])
+SCALES = (1e-300, 1e-160, 1e160, 1e300)
+SHIFTS = (1e6, 1e9, 1e12)
+
+
+class Copy:
+    """``base * scale + shift`` with one of the two trivial."""
+
+    def __init__(self, base, scale=1.0, shift=0.0):
+        self.base = base if shift == 0.0 else (base + shift) - shift
+        self.scale, self.shift = scale, shift
+        self.points = self.to_copy(self.base)
+        # answers agree within 1e-9 of the base's unit scale, plus the
+        # float spacing at the shift
+        self.tol = 1e-9 + 4.0 * float(np.spacing(shift))
+
+    def __repr__(self):
+        return f"x{self.scale:g}" if self.shift == 0.0 else f"+{self.shift:g}"
+
+    def to_copy(self, x):
+        return x * self.scale + self.shift
+
+    def back(self, y):
+        return (y - self.shift) / self.scale
+
+
+COPIES = ([Copy(SCALE_BASE, scale=s) for s in SCALES]
+          + [Copy(SCALE_BASE, shift=t) for t in SHIFTS])
+
+
+def non_increasing(history) -> bool:
+    """No entry rises above the one before by more than a few roundings."""
+    h = np.array(history)
+    return bool(np.all(np.diff(h) <= 4.0 * np.spacing(h[:-1])))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except VivianiError as exc:  # the two sides must fail alike
+        return type(exc)
+
+
+class TestMedian:
+    def test_copies_keep_status_anchor_and_point(self):
+        for c in COPIES:
+            base = geometric_median(c.base)
+            res = geometric_median(c.points, record_history=True)
+            assert res.status is base.status is MedianStatus.INTERIOR_OPTIMUM, c
+            assert res.anchor_index == base.anchor_index, c
+            assert np.abs(c.back(res.point) - base.point).max() <= c.tol, c
+            assert res.objective / c.scale == pytest.approx(base.objective, rel=1e-12), c
+            assert res.residual <= fermat.RESIDUAL_TARGET, c
+            assert non_increasing(res.history), c
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shifted_random_sets(self, seed):
+        # At +1e12 neighbouring floats are 1.2e-4 apart; the solver still
+        # descends monotonically and lands within that spacing.
+        pts = np.random.default_rng(seed).normal(size=(7, 2))
+        for shift in SHIFTS:
+            c = Copy(pts, shift=shift)
+            base = geometric_median(c.base)
+            res = geometric_median(c.points, record_history=True)
+            assert res.status is base.status, c
+            assert res.anchor_index == base.anchor_index, c
+            assert np.abs(c.back(res.point) - base.point).max() <= c.tol, c
+            assert non_increasing(res.history), c
+
+    def test_large_set_runs_no_polish(self, monkeypatch):
+        # Ordinary inputs are not divided and ``tol`` stays in the caller's
+        # units.  Dividing this set by its half-width and stopping in those
+        # units stops one step early, where a Newton polish is needed.
+        polishes = count_calls(monkeypatch, fermat, "_newton_polish")
+        res = geometric_median(np.random.default_rng(5).normal(size=(1000, 50)))
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert polishes == []
+
+
+class TestQueries:
+    def test_total_distance(self):
+        for c in COPIES:
+            got = total_distance(c.to_copy(QUERY), c.points) / c.scale
+            assert got == pytest.approx(total_distance(QUERY, c.base), rel=1e-14), c
+
+    def test_direction_sum_at(self):
+        for c in COPIES:
+            got = direction_sum_at(c.to_copy(QUERY), c.points)
+            assert np.abs(got - direction_sum_at(QUERY, c.base)).max() <= 1e-14, c
+
+    def test_fermat_to_viviani(self):
+        # The base's median, moved to the copy's floats: at +1e12 it is
+        # 6e-5 off the copy's optimum, too far for the k * 1e-6 certificate
+        # on both sides alike.
+        for c in COPIES:
+            P = c.to_copy(geometric_median(c.base).point)
+            got = outcome(fermat_to_viviani, c.points, P)
+            want = outcome(fermat_to_viviani, c.base, c.back(P))
+            if isinstance(want, type):
+                assert got is want, c
+                continue
+            assert not isinstance(got, type), (c, got)
+            assert np.abs(got.normals - want.normals).max() <= 1e-12, c
+            shift = got.normals.sum(axis=1) * c.shift
+            offsets = (got.offsets - shift) / c.scale
+            assert np.abs(offsets - want.offsets).max() <= c.tol, c
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-300])
+def test_cli_median_reports_a_finite_objective(scale, tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(serialize_document(points_document(SCALE_BASE * scale)))
+    code = run_cli(["median", str(path)])
+    out = json.loads(capsys.readouterr().out, parse_constant=_strict)
+    base = geometric_median(SCALE_BASE)
+    assert code == 0
+    assert out["status"] == "interior_optimum"
+    assert math.isfinite(out["objective"])
+    assert out["objective"] / scale == pytest.approx(base.objective, rel=1e-12)
