@@ -66,12 +66,13 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     k = pts.shape[0]
     if np.any(d <= ANCHOR_ETA * diag):
         raise CoincidesWithAnchor("the base point coincides with an input point")
-    normals = diff / d[:, None]
     cert = _norm((1.0 / d) @ diff)
     if cert > k * FERMAT_CERT_FACTOR:
         raise NotAFermatPoint(
             f"direction sum {cert!r} exceeds the certificate bound {k * FERMAT_CERT_FACTOR!r}"
         )
+    normals = diff  # divided in place into the unit spokes
+    normals /= d[:, None]
     offsets = np.einsum("ij,ij->i", normals, pts)
     return HyperplaneSet.from_arrays(normals, offsets)
 

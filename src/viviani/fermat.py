@@ -25,7 +25,16 @@ median.  The objective is non-increasing up to rounding.
 Each iterate costs one pass over the (k, n) data: the differences
 ``p_j - X`` and their norms (``_distances``) are taken once, right after the
 step, and the slow-down test, the interior certificate, the polish's first
-step and the reported objective all reuse them.  Spoke sums are the product
+step and the reported objective all reuse them.  A solve allocates its
+(k, n) memory once, as one block of four column-major slabs: ``Q``, the
+current and the trial differences (which swap roles when a polish step is
+accepted), and a scratch slab for the anchor certificates.  Every pass
+writes into its slab through ``out=``, and no slab is written while a live
+difference array aliases it.  One block rather than four arrays matters
+for large solves: glibc serves a large block with mmap, and raises its mmap
+and trim thresholds past the largest such block freed, so the next solve
+reuses the same pages; separate buffers freed together cross the trim line
+and every solve faults its memory in again.  Spoke sums are the product
 ``(1/d) @ (P - X)``.  The centred points of the first iterate also decide
 collinearity (``_is_collinear``): a two-row lower bound on the second
 singular value clears almost every input without an SVD.
@@ -90,7 +99,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        p = _points_copy(self.points)
+        p = np.array(_points(self.points), order="F")
         p.flags.writeable = False
         object.__setattr__(self, "points", p)
 
@@ -140,10 +149,11 @@ class MedianResult:
     history: tuple[float, ...] | None = None
 
 
-def _points_copy(A) -> np.ndarray:
-    """A validated, writeable column-major copy of the points of ``A``."""
-    p = np.atleast_2d(np.array(A.points if isinstance(A, PointSet) else A,
-                               dtype=float, order="F"))
+def _points(A) -> np.ndarray:
+    """The points of ``A`` as a validated (k, n) float array, copied only
+    when the conversion to float needs it; never written to."""
+    p = np.atleast_2d(np.asarray(A.points if isinstance(A, PointSet) else A,
+                                 dtype=float))
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
         raise VivianiError("expected a nonempty (k, n) array of points")
     if not np.all(np.isfinite(p)):
@@ -174,11 +184,12 @@ def _frame(P: np.ndarray):
 
 def _seen_from(X, A):
     """``(pts, diff, d, u, diag)``: the points of ``A``, their frame
-    differences ``diff = Q - (X - c)/u`` from ``X`` and the norms ``d``."""
-    pts = _points_copy(A)
+    differences ``diff = Q - (X - c)/u`` from ``X``, taken in place over the
+    one frame copy ``Q``, and the norms ``d``."""
+    pts = _points(A)
     x = as_vector(X, dim=pts.shape[1])
-    c, u, Q, diag = _frame(pts.copy(order="F"))
-    diff = Q - (x - c) / u
+    c, u, diff, diag = _frame(np.array(pts, order="F"))
+    diff -= (x - c) / u
     return pts, diff, _distances(diff), u, diag
 
 
@@ -207,13 +218,14 @@ def direction_sum_at(X, A) -> np.ndarray:
     return out
 
 
-def _anchor_certificate(pts: np.ndarray, idx: int, eta: float):
+def _anchor_certificate(pts: np.ndarray, idx: int, eta: float, out: np.ndarray):
     """Direction sum over points not coincident with anchor ``idx``.
 
     Returns ``(norm, multiplicity, direction_sum)``; the anchor is optimal
     when the norm is at most the multiplicity (number of coincident copies).
+    The differences from the anchor are written into ``out``.
     """
-    diff = pts - pts[idx]
+    diff = np.subtract(pts, pts[idx], out=out)
     d = _distances(diff)
     near = d <= eta
     m = int(near.sum())
@@ -226,7 +238,8 @@ def _anchor_certificate(pts: np.ndarray, idx: int, eta: float):
 
 def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
                    history: list[float] | None, diff: np.ndarray,
-                   d: np.ndarray, *, passes: Callable[[int], bool],
+                   d: np.ndarray, spare: np.ndarray, *,
+                   passes: Callable[[int], bool],
                    budget: int = 40
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """Damped Newton steps on the (smooth away from anchors) distance sum.
@@ -235,7 +248,10 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     valley (almost-collinear inputs), where its contraction rate degrades to
     1 - O(valley width squared).  Takes ``diff = pts - X`` and its row norms
     ``d`` and returns ``(X, diff, d, None)`` at the point it stops; each step
-    takes one distance pass, at its trial point.  The gradient is
+    takes one distance pass, at its trial point.  ``V`` and the trial
+    differences are written into ``spare``, a (k, n) slab apart from
+    ``diff``; an accepted trial swaps the two, so the returned ``diff`` lies
+    in one of them.  The gradient is
     ``-(1/d) @ diff``.
     The Hessian ``sum (I - u u^T) / d`` is formed multiplied by the nearest
     distance ``c``, as ``(sum c/d) I - V^T V`` with rows
@@ -276,7 +292,7 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         if _norm(grad) <= 0.25 * RESIDUAL_TARGET:
             break
         r = c * w
-        V = diff * (np.sqrt(r) * w)[:, None]
+        V = np.multiply(diff, (np.sqrt(r) * w)[:, None], out=spare)
         H = r.sum() * eye - V.T @ V
         H += (1e-12 * np.trace(H) / n) * eye
         try:
@@ -311,7 +327,7 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
                 # cannot move any coordinate either
                 return X, diff, d, None
             s = Xn - X
-            diffn = pts - Xn
+            diffn = np.subtract(pts, Xn, out=spare)
             dn = _distances(diffn)
             df = float(((s @ s - 2.0 * (diff @ s)) / (dn + d)).sum())
             if df <= 1e-4 * t * slope:
@@ -319,7 +335,7 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
             t *= 0.5
         else:
             break
-        X, diff, d = Xn, diffn, dn
+        X, diff, d, spare = Xn, diffn, dn, diff
         if history is not None:
             history.append(float(d.sum()))
     return X, diff, d, None
@@ -396,19 +412,29 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     optimum reports, as ``anchor_index``, the lowest index among the
     coincident copies of the first anchor found passing whose own
     certificate passes.  ``A`` may be a :class:`PointSet` or any (k, n)
-    array; the solve makes one column-major copy of it, which ``_frame``
-    turns into ``Q`` in place.
+    array; the solve allocates one block for all its (k, n) work (see the
+    module docstring) and copies the points into its first slab, which
+    ``_frame`` turns into ``Q`` in place.  ``tol`` must be positive and
+    ``max_iter`` at least 1, else :class:`VivianiError`.
     """
-    c, u, Q, diag = _frame(_points_copy(A))
-    k, n = Q.shape
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise VivianiError("tol must be positive")
+    if max_iter < 1:
+        raise VivianiError("max_iter must be at least 1")
+    pts = _points(A)
+    k, n = pts.shape
+    # the workspace: Q, the current (D) and trial (E) differences, and the
+    # anchor certificates' scratch (S)
+    W = np.empty((k, n, 4), order="F")
+    Q, D, E, S = (W[:, :, i] for i in range(4))
+    Q[...] = pts
+    c, u, Q, diag = _frame(Q)
     history: list[float] | None = [] if record_history else None
     iterations = 0
 
     def finish(y, status, residual, d, anchor_index=None):
         # y: the answer in the frame, d: the frame distances at it
-        p = c + u * y if anchor_index is None else np.array(_points_copy(A)[anchor_index])
+        p = c + u * y if anchor_index is None else np.array(pts[anchor_index])
         p.flags.writeable = False
         return MedianResult(
             point=p,
@@ -433,7 +459,8 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     line = _is_collinear(diff, d)
     if line is not None:
         y = _collinear_median(diff, line)
-        return finish(y, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0, _distances(Q - y))
+        return finish(y, MedianStatus.NON_UNIQUE_COLLINEAR, 0.0,
+                      _distances(np.subtract(Q, y, out=D)))
 
     def record(d):
         if history is not None:
@@ -445,7 +472,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         # (norm, multiplicity, R) of anchor i; it depends on the points
         # alone, so each anchor is tested at most once per solve
         if i not in certificates:
-            certificates[i] = _anchor_certificate(Q, i, eta)
+            certificates[i] = _anchor_certificate(Q, i, eta, S)
         return certificates[i]
 
     def passes(i):
@@ -455,10 +482,10 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     def anchor(j):
         # The answer at the passing anchor j: the lowest index among its
         # coincident copies whose certificate passes (j itself at worst).
-        d = _distances(Q - Q[j])
+        d = _distances(np.subtract(Q, Q[j], out=S))
         i = next(i for i in np.flatnonzero(d <= eta).tolist() if passes(i))
         if i != j:
-            d = _distances(Q - Q[i])
+            d = _distances(np.subtract(Q, Q[i], out=S))
         record(d)
         return finish(None, MedianStatus.ANCHOR_OPTIMUM, certificate(i)[0], d, i)
 
@@ -488,7 +515,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                 return anchor(imin)
             # not optimal: restart a small step along the descent direction
             X = Q[imin] + (eta * 1e3) * certificate(imin)[2]
-            diff = Q - X
+            diff = np.subtract(Q, X, out=D)
             d = _distances(diff)
             record(d)
             continue
@@ -496,7 +523,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         Xn = (w @ Q) / w.sum()
         step = _norm(Xn - X)
         X = Xn
-        diff = Q - X
+        diff = np.subtract(Q, X, out=D)
         d = _distances(diff)
         record(d)
         converged = step <= tol * (1.0 / u + _norm(X + cu))
@@ -511,7 +538,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
                 return done
             if polish_attempts < 8:
                 polish_attempts += 1
-                X, diff, d, hit = _newton_polish(Q, X, eta, history, diff, d,
+                X, diff, d, hit = _newton_polish(Q, X, eta, history, diff, d, E,
                                                  passes=passes)
                 if hit is not None:
                     return anchor(hit)

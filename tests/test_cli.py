@@ -94,6 +94,16 @@ class TestMedian:
         code, _, _ = run(capsys, "median", CUBE)
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"], ["--max-iter", "-2"],
+    ], ids=["tol=-1", "tol=nan", "max-iter=0", "max-iter=-2"])
+    def test_bad_solver_arguments(self, capsys, argv):
+        # No uncertified status is printed: the solve is refused.
+        code, out, err = run(capsys, "median", CORNERS, *argv)
+        assert code == viviani.cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "error:" in err
+
 
 class TestDualize:
     def test_solved_median(self, capsys):

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viviani
 import viviani.fermat as fermat
 from viviani import (
     CoincidesWithAnchor,
@@ -11,6 +18,7 @@ from viviani import (
     PointSet,
     VivianiError,
     direction_sum_at,
+    fermat_to_viviani,
     geometric_median,
     grid_median,
     total_distance,
@@ -41,9 +49,9 @@ def record_anchor_tests(monkeypatch) -> list:
     tested = []
     certificate = fermat._anchor_certificate
 
-    def recorded(pts, idx, eta):
+    def recorded(pts, idx, *rest):
         tested.append(idx)
-        return certificate(pts, idx, eta)
+        return certificate(pts, idx, *rest)
 
     monkeypatch.setattr(fermat, "_anchor_certificate", recorded)
     return tested
@@ -147,6 +155,17 @@ class TestGeometricMedian:
         # brute force agrees the anchor is best
         _, obj = grid_median(pts, step=1e-2)
         assert res.objective <= obj + 1e-6
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},
+    ], ids=["tol=0", "tol=-1", "tol=nan", "max_iter=0", "max_iter=-3"])
+    def test_bad_arguments_rejected_before_the_points(self, kwargs):
+        # No iterate would back the answer's status, so nothing is solved;
+        # the arguments are checked before the points are even read.
+        with pytest.raises(VivianiError, match="tol must be positive|max_iter must be"):
+            geometric_median(np.zeros((0, 2)), **kwargs)
+        with pytest.raises(VivianiError, match="tol must be positive|max_iter must be"):
+            geometric_median(SQUARE, **kwargs)
 
     def test_square_corners(self):
         res = geometric_median(SQUARE)
@@ -533,3 +552,77 @@ class TestNewtonPolish:
         assert res.status is MedianStatus.INTERIOR_OPTIMUM
         assert np.linalg.norm(direction_sum_at(res.point, pts)) <= len(pts) * 1e-8
         assert evaluations <= 50
+
+
+class TestWorkspace:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the minor page faults of glibc's allocator")
+    def test_large_solves_reuse_their_memory(self):
+        # Each solve allocates its (k, n) memory as one block, so glibc keeps
+        # the pages for the next solve instead of handing them back to the
+        # OS.  A fresh interpreter: earlier allocations in this process can
+        # raise the allocator's thresholds and hide the faults.
+        src = str(Path(viviani.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from viviani import geometric_median
+            for k, n in [(1000, 50), (10000, 3)]:
+                pts = np.random.default_rng(5).normal(size=(k, n))
+                for _ in range(2):
+                    geometric_median(pts)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(10):
+                    geometric_median(pts)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 2 and max(faults) < 100, faults
+
+    def test_polish_hands_back_the_differences_of_its_point(self, monkeypatch):
+        # The polish's slabs and the certificates' scratch are distinct: an
+        # anchor tested mid-polish must not overwrite the live differences.
+        polish = fermat._newton_polish
+        checked = []
+
+        def watched(pts, *args, **kwargs):
+            X, diff, d, hit = polish(pts, *args, **kwargs)
+            checked.append(np.array_equal(diff, pts - X)
+                           and np.array_equal(d, fermat._distances(pts - X)))
+            return X, diff, d, hit
+
+        monkeypatch.setattr(fermat, "_newton_polish", watched)
+        rng = np.random.default_rng(960000)
+        for _ in range(400):
+            # near-collinear sets, as in the planar benchmark's flat valleys
+            k = int(rng.integers(5, 9))
+            e = random_unit(rng, 2)
+            t = rng.uniform(-1.0, 1.0, k)
+            w = 10.0 ** rng.uniform(-6.0, -3.0) * rng.normal(size=k)
+            geometric_median(rng.normal(size=2) + t[:, None] * e
+                             + w[:, None] * np.array([-e[1], e[0]]))
+        assert len(checked) >= 100 and all(checked)
+
+    def test_distance_passes_take_few_arrays(self):
+        # One frame copy of the points, differences taken in place over it,
+        # and the normals divided in place: a (k, n) float array is a slab.
+        k, n = 100000, 3
+        slab = k * n * 8
+        pts = np.random.default_rng(3).normal(size=(k, n))
+        P = geometric_median(pts).point
+        tracemalloc.start()
+        try:
+            total_distance(np.full(n, 0.25), pts)
+            distance_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            fermat_to_viviani(pts, P)
+            dual_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distance_peak <= 3 * slab
+        assert dual_peak <= 4 * slab
