@@ -34,7 +34,11 @@ difference array aliases it.  One block rather than four arrays matters
 for large solves: glibc serves a large block with mmap, and raises its mmap
 and trim thresholds past the largest such block freed, so the next solve
 reuses the same pages; separate buffers freed together cross the trim line
-and every solve faults its memory in again.  Spoke sums are the product
+and every solve faults its memory in again.  The trim line is twice the
+block, so the block's size is also the room left for the solve's length-k
+vectors (a third of a slab each at n = 3): a block of ``Q`` and the
+differences alone, or one without the certificates' scratch, still faults
+at (10000, 3).  Spoke sums are the product
 ``(1/d) @ (P - X)``.  The centred points of the first iterate also decide
 collinearity (``_is_collinear``): a two-row lower bound on the second
 singular value clears almost every input without an SVD.

@@ -379,9 +379,12 @@ class ConvexPolytopeH:
         x0 = np.linalg.lstsq(N, c, rcond=None)[0]
         b = c - N @ x0
         s = float(np.abs(b).max())
-        pair = _first_coincident_pair(N, c, s)
-        if pair is not None:
-            raise InvalidPolytope(f"halfspaces {pair[0]} and {pair[1]} coincide")
+        for i in range(len(c) - 1):
+            d = N[i + 1:] - N[i]
+            hit = (np.sqrt(_row_dots(d, d)) <= 1e-9) & (np.abs(c[i + 1:] - c[i]) <= 1e-9 * s)
+            if hit.any():
+                j = i + 1 + int(hit.argmax())
+                raise InvalidPolytope(f"halfspaces {i} and {j} coincide")
         x = _lp_interior_point(N, c, x0, b, s)
         x.flags.writeable = False
         object.__setattr__(self, "_interior_point", x)
@@ -393,42 +396,6 @@ class ConvexPolytopeH:
     def interior_point(self) -> np.ndarray:
         """A point strictly inside the region (found during validation)."""
         return self._interior_point
-
-
-def _first_coincident_pair(N, c, s) -> tuple[int, int] | None:
-    """The first pair ``(i, j)``, ``i < j``, ordered by ``i`` then ``j``,
-    with ``|n_j - n_i| <= 1e-9`` and ``|c_j - c_i| <= 1e-9 s``, or None.
-
-    One sort finds the candidates in O(k log k).  Each row gets the key
-    ``g . n_i + h c_i / max|c|`` for a fixed generic direction ``(g, h)``
-    (no axis or diagonal, so rows that share coordinates still spread), and
-    by Cauchy-Schwarz a coincident pair lies within ``window`` on it: the
-    bound for the two tolerances, plus the rounding of unit-normal keys.
-    Candidates then take the pairwise test itself, one offset in sorted
-    order at a time, so a generic set makes one pass.
-    """
-    k, n = N.shape
-    g = np.cos(2.0 * np.arange(1, n + 2))
-    gn, h = float(np.linalg.norm(g[:n])), abs(float(g[n]))
-    top = float(np.abs(c).max()) or 1.0
-    key = N @ g[:n] + (g[n] / top) * c
-    window = (1e-9 * (gn + h * s / top) * (1.0 + 1e-6)
-              + 8.0 * (n + 3) * np.finfo(float).eps * (2.0 * gn + h))
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    ends = np.searchsorted(ks, ks + window, side="right")
-    at = np.arange(k)
-    first = None
-    for step in range(1, int((ends - at).max())):
-        a = np.flatnonzero(ends > at + step)
-        i = np.minimum(order[a], order[a + step])
-        j = np.maximum(order[a], order[a + step])
-        d = N[j] - N[i]
-        hit = (np.sqrt(_row_dots(d, d)) <= 1e-9) & (np.abs(c[j] - c[i]) <= 1e-9 * s)
-        if hit.any():
-            pair = min(zip(i[hit].tolist(), j[hit].tolist()))
-            first = pair if first is None else min(first, pair)
-    return first
 
 
 def _lp_interior_point(N, c, x0, b, s) -> np.ndarray:

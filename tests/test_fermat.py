@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -555,16 +556,20 @@ class TestNewtonPolish:
 
 
 class TestWorkspace:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="counts the minor page faults of glibc's allocator")
     def test_large_solves_reuse_their_memory(self):
         # Each solve allocates its (k, n) memory as one block, so glibc keeps
         # the pages for the next solve instead of handing them back to the
         # OS.  A fresh interpreter: earlier allocations in this process can
-        # raise the allocator's thresholds and hide the faults.
+        # raise the allocator's thresholds and hide the faults.  Its
+        # environment sets no malloc tunable and preloads no other
+        # allocator, so it measures glibc's default thresholds.
         src = str(Path(viviani.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith(("MALLOC_", "GLIBC_TUNABLES", "LD_PRELOAD"))}
+        env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
         code = textwrap.dedent("""
             import resource
             import numpy as np

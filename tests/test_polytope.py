@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import viviani
-import viviani.polytope
 from viviani import (
     ClosureViolation,
     ConvexPolygon,
@@ -38,18 +37,13 @@ from viviani import (
     viviani_value,
 )
 
-from viviani.geometry import _row_dots
-from viviani.polytope import _first_coincident_pair
-
 from helpers import (
     closing_equiangular_sides,
-    count_calls,
     equilateral_triangle,
     random_convex_quadrilateral,
     random_equilateral_triangle,
     random_parallelogram,
     random_triangle,
-    random_unit,
 )
 
 
@@ -447,69 +441,6 @@ class TestPolytopeH:
         S = HyperplaneSet.from_arrays(normals, np.ones(6))
         with pytest.raises(InvalidPolytope, match="halfspaces 0 and 5 coincide"):
             ConvexPolytopeH(S)
-
-    @staticmethod
-    def first_pair_by_rows(N, c, s):
-        """The duplicate test as a loop over rows: O(k^2 n), the reference."""
-        for i in range(len(c) - 1):
-            d = N[i + 1:] - N[i]
-            hit = (np.sqrt(_row_dots(d, d)) <= 1e-9) & (np.abs(c[i + 1:] - c[i]) <= 1e-9 * s)
-            if hit.any():
-                return i, i + 1 + int(hit.argmax())
-        return None
-
-    @staticmethod
-    def planted_set(rng, axis_aligned):
-        """Unit normals and offsets with a few planted near-duplicates, and
-        the scale s that ConvexPolytopeH judges offsets against."""
-        k, n = int(rng.integers(2, 150)), int(rng.choice([2, 3, 6, 40]))
-        if axis_aligned:
-            # rows of +-e_i and (+-e_i +- e_j)/sqrt(2): many rows share each
-            # coordinate, and many normals repeat exactly
-            i, j = rng.integers(n, size=(2, k))
-            N = np.zeros((k, n))
-            N[np.arange(k), i] = rng.choice([-1.0, 1.0], size=k)
-            two = (i != j) & (rng.random(k) < 0.5)
-            N[two, j[two]] = rng.choice([-1.0, 1.0], size=int(two.sum()))
-            N /= np.linalg.norm(N, axis=1)[:, None]
-            c = rng.integers(1, 2 + k, size=k).astype(float)
-        else:
-            N = rng.normal(size=(k, n))
-            N /= np.linalg.norm(N, axis=1)[:, None]
-            c = rng.uniform(-2.0, 2.0, size=k)
-        for _ in range(int(rng.integers(0, 4))):
-            a, b = rng.choice(k, size=2, replace=False)
-            v = N[a] + rng.choice([0.0, 1e-12, 3e-10, 9e-10, 1.1e-9, 3e-9, 1e-6]) * random_unit(rng, n)
-            N[b] = v / np.linalg.norm(v)
-            c[b] = c[a] + rng.choice([0.0, 3e-10, 9e-10, 2e-9, 1e-6])
-        s = float(np.abs(c - N @ np.linalg.lstsq(N, c, rcond=None)[0]).max())
-        return N, c, s
-
-    @pytest.mark.parametrize("axis_aligned", [False, True], ids=["generic", "axis-aligned"])
-    def test_duplicate_search_matches_the_row_loop(self, axis_aligned):
-        # The sorted search reports the pair the row-by-row loop reports,
-        # for normals stored either way round.
-        rng = np.random.default_rng(17 + axis_aligned)
-        found = 0
-        for _ in range(300):
-            N, c, s = self.planted_set(rng, axis_aligned)
-            expected = self.first_pair_by_rows(N, c, s)
-            found += expected is not None
-            for rows in (N, np.asfortranarray(N)):
-                assert _first_coincident_pair(rows, c, s) == expected
-        assert 30 <= found <= 270  # both verdicts occur often
-
-    def test_duplicate_search_spreads_rows_that_share_coordinates(self, monkeypatch):
-        # 3000 planes with the six normals +-e_i and distinct offsets: no
-        # pair coincides, and the sort leaves no two rows close enough on
-        # its key for even one pass of pairwise tests.
-        rng = np.random.default_rng(5)
-        eye = np.eye(3)
-        N = np.vstack([eye, -eye])[rng.integers(6, size=3000)]
-        c = rng.permutation(3000) + 1.0
-        passes = count_calls(monkeypatch, viviani.polytope, "_row_dots")
-        assert _first_coincident_pair(N, c, float(np.abs(c).max())) is None
-        assert len(passes) == 0
 
     def test_tetrahedron_family_are_polytopes(self):
         # The paper's irregular Viviani tetrahedra enclose genuine regions.
