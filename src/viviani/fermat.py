@@ -160,7 +160,7 @@ def _points(A) -> np.ndarray:
                                  dtype=float))
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
         raise VivianiError("expected a nonempty (k, n) array of points")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise VivianiError("point coordinates must be finite")
     return p
 
@@ -179,11 +179,12 @@ def _frame(P: np.ndarray):
     box diagonal in units of ``u``."""
     w = P.max(axis=0) - P.min(axis=0)
     u = _scale_unit(0.5 * float(w.max()))
-    c = P.mean(axis=0)
+    c = P.sum(axis=0) / P.shape[0]
     P -= c
     if u != 1.0:
         P /= u
-    return c, u, P, _norm(w / u)
+        w /= u
+    return c, u, P, _norm(w)
 
 
 def _seen_from(X, A):
@@ -285,25 +286,27 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     returns ``X`` at once instead of halving on.
     """
     n = pts.shape[1]
-    eye = np.eye(n)
     crawl = None
     for _ in range(budget):
         c = float(d.min())
         if c <= eta:
             break
         w = 1.0 / d
-        grad = -(w @ diff)
-        if _norm(grad) <= 0.25 * RESIDUAL_TARGET:
+        g = w @ diff  # the negated gradient
+        if _norm(g) <= 0.25 * RESIDUAL_TARGET:
             break
         r = c * w
         V = np.multiply(diff, (np.sqrt(r) * w)[:, None], out=spare)
-        H = r.sum() * eye - V.T @ V
-        H += (1e-12 * np.trace(H) / n) * eye
+        H = V.T @ V
+        np.negative(H, out=H)
+        h = H.reshape(-1)[::n + 1]  # a view of the diagonal
+        h += r.sum()
+        h += 1e-12 * float(h.sum()) / n
         try:
-            p = np.linalg.solve(H, -c * grad)
+            p = np.linalg.solve(H, c * g)
         except np.linalg.LinAlgError:
             break
-        slope = float(grad @ p)
+        slope = -float(g @ p)
         if slope >= 0.0:
             break
         ahead = np.where(diff @ p > 0.0, d, np.inf)
@@ -326,11 +329,11 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
             t = reach / length
         for _ in range(LINE_SEARCH_TRIALS):
             Xn = X + t * p
-            if np.array_equal(Xn, X):
+            s = Xn - X
+            if not s.any():
                 # the step is below the float spacing at X; halving t
                 # cannot move any coordinate either
                 return X, diff, d, None
-            s = Xn - X
             diffn = np.subtract(pts, Xn, out=spare)
             dn = _distances(diffn)
             df = float(((s @ s - 2.0 * (diff @ s)) / (dn + d)).sum())
@@ -430,7 +433,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
     # the workspace: Q, the current (D) and trial (E) differences, and the
     # anchor certificates' scratch (S)
     W = np.empty((k, n, 4), order="F")
-    Q, D, E, S = (W[:, :, i] for i in range(4))
+    Q, D, E, S = W.transpose(2, 0, 1)
     Q[...] = pts
     c, u, Q, diag = _frame(Q)
     history: list[float] | None = [] if record_history else None
