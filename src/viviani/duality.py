@@ -74,7 +74,7 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     normals = diff  # divided in place into the unit spokes
     normals /= d[:, None]
     offsets = np.einsum("ij,ij->i", normals, pts)
-    return HyperplaneSet.from_arrays(normals, offsets)
+    return HyperplaneSet._own(normals, offsets)
 
 
 def viviani_to_fermat(S: HyperplaneSet, P, tol: float = 1e-9) -> PointSet:

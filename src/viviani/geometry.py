@@ -145,8 +145,13 @@ class HyperplaneSet:
         row the vectorised screen flags is handed to that constructor in
         row order.
         """
-        normals = np.array(normals, dtype=float)
-        offsets = np.array(offsets, dtype=float).reshape(-1)
+        return cls._own(np.array(normals, dtype=float), np.array(offsets, dtype=float))
+
+    @classmethod
+    def _own(cls, normals: np.ndarray, offsets: np.ndarray) -> "HyperplaneSet":
+        """:meth:`from_arrays` without the copies, for float arrays that
+        nothing else holds: the set keeps them and makes them read-only."""
+        offsets = offsets.reshape(-1)
         if normals.ndim != 2 or normals.shape[0] != offsets.size:
             raise VivianiError("need one offset per normal row")
         if offsets.size == 0:

@@ -631,3 +631,115 @@ class TestWorkspace:
             tracemalloc.stop()
         assert distance_peak <= 3 * slab
         assert dual_peak <= 4 * slab
+
+    def test_dual_planes_keep_the_normals_they_build(self):
+        # fermat_to_viviani divides its frame copy into the normals and hands
+        # that array to the plane set, which keeps it instead of copying it.
+        k, n = 100000, 3
+        pts = np.random.default_rng(3).normal(size=(k, n))
+        P = geometric_median(pts).point
+        tracemalloc.start()
+        try:
+            fermat_to_viviani(pts, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * k * n * 8
+
+
+def _unit_roundoff_gamma(m: int) -> float:
+    eps = 2.0 ** -53
+    return m * eps / (1.0 - m * eps)
+
+
+def _expansion_corpus(rng):
+    """Point sets of dimension 1-79: Gaussian, shifted, anisotropic and
+    heavy-tailed."""
+    for i in range(240):
+        n = int(rng.integers(1, 80))
+        k = int(rng.integers(3, 120))
+        pts = rng.normal(size=(k, n))
+        family = i % 4
+        if family == 1:
+            pts += 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=n)
+        elif family == 2:
+            pts *= 10.0 ** rng.uniform(-3.0, 3.0, n)
+        elif family == 3:
+            pts = rng.standard_t(1.5, size=(k, n))
+        yield pts
+
+
+class TestExpandedDistances:
+    def test_plain_steps_take_no_difference_pass(self, monkeypatch):
+        # At (1000, 50) every step but the converged one is plain and far
+        # from every point, so its distances come from the expansion.
+        pts = np.random.default_rng(5).normal(size=(1000, 50))
+        calls = count_distance_passes(monkeypatch)
+        res = geometric_median(pts)
+        assert res.status is MedianStatus.INTERIOR_OPTIMUM
+        assert len(calls) <= 2
+
+    def test_guarded_expansions_are_accurate(self, monkeypatch):
+        # Every expansion the solver takes is within 2 gamma_{n+2} / margin
+        # of the exact distances, with the gap the solver itself proves.
+        expand = fermat._expanded_distances
+        errors = []
+
+        def checked(Q, qq, qmax, X, gap):
+            d = expand(Q, qq, qmax, X, gap)
+            if d is not None:
+                exact = fermat._distances(Q - X)
+                bound = 2.0 * _unit_roundoff_gamma(Q.shape[1] + 2) / fermat.EXPANSION_MARGIN
+                errors.append(float((np.abs(d - exact) / exact).max()) / bound)
+            return d
+
+        monkeypatch.setattr(fermat, "_expanded_distances", checked)
+        for pts in _expansion_corpus(np.random.default_rng(31)):
+            geometric_median(pts)
+        assert len(errors) >= 500
+        assert max(errors) <= 1.0
+
+    def test_iterates_inside_the_margin_take_the_exact_path(self):
+        rng = np.random.default_rng(32)
+        for pts in _expansion_corpus(rng):
+            Q = np.asfortranarray(pts - pts.mean(axis=0))
+            qq = np.einsum("ij,ij->i", Q, Q)
+            qmax = float(qq.max())
+            X = 0.1 * rng.normal(size=Q.shape[1]) * np.sqrt(qmax / Q.shape[1])
+            edge = math.sqrt(fermat.EXPANSION_MARGIN * (qmax + float(X @ X)))
+            for gap in (-edge, 0.0, edge * (1.0 - 1e-12)):
+                assert fermat._expanded_distances(Q, qq, qmax, X, gap) is None
+            d = fermat._expanded_distances(Q, qq, qmax, X, edge * (1.0 + 1e-12))
+            assert d is not None and d.shape == (Q.shape[0],)
+
+    def test_a_polish_that_ends_on_its_gradient_is_certified_at_once(self, monkeypatch):
+        # The polish stops at |gradient| <= RESIDUAL_TARGET / 4, which the
+        # interior certificate accepts as it stands: no distance pass may
+        # follow it before the solve returns.
+        polish, distances = fermat._newton_polish, fermat._distances
+        events = []
+
+        def watched_polish(pts, X, eta, *args, **kwargs):
+            X, diff, d, hit = polish(pts, X, eta, *args, **kwargs)
+            ended_on_gradient = (hit is None and float(d.min()) > eta and fermat._norm(
+                (1.0 / d) @ diff) <= 0.25 * fermat.RESIDUAL_TARGET)
+            events.append("certifiable polish" if ended_on_gradient else "polish")
+            return X, diff, d, hit
+
+        def watched_distances(diff):
+            events.append("distance pass")
+            return distances(diff)
+
+        monkeypatch.setattr(fermat, "_newton_polish", watched_polish)
+        monkeypatch.setattr(fermat, "_distances", watched_distances)
+        rng = np.random.default_rng(2024)
+        certifiable = 0
+        for _ in range(200):
+            k = int(rng.integers(3, 9))
+            pts = rng.uniform(-1.0, 1.0, size=(k, 2))
+            events.clear()
+            geometric_median(pts, record_history=True)
+            if "certifiable polish" in events:
+                certifiable += 1
+                assert events[-1] == "certifiable polish", events
+        assert certifiable >= 100

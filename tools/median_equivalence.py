@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Replay the same median solves on two source trees and diff the answers.
+
+    python3 tools/median_equivalence.py <parent-tree> <change-tree>
+
+Each tree is solved in a fresh interpreter that imports ``viviani`` from
+the tree's ``src`` and rebuilds the inputs with the tree's own
+``perfbench/workloads.py``, which it reads and does not edit:
+
+* ``median_small2d`` seed 12345, rounds 0-19;
+* ``viviani_roundtrip`` seed 4242, rounds 0-59 (the solve of each
+  operation's feet);
+* ``median_sweep_nd`` seed 777, rounds 0-2;
+* 140 extra sets up to (2000, 10) and (1000, 50): Gaussian, Student t with
+  two degrees of freedom, anisotropic, clusters of width 1e-6, and
+  Gaussian sets scaled by 1e150 and moved by 3e160.
+
+Every solve records its status, anchor index, iterations, objective,
+residual and point.  The trees must have built byte-identical inputs.  The
+diff prints the counts and the worst case of each field, and exits 1 when
+the change tree fails the gate: a status or an anchor index differs, an
+objective moves by more than 1e-15 relative, a solve takes more
+iterations, or an interior residual exceeds the tree's
+``RESIDUAL_TARGET`` where the parent's did not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+#: (workload, seed, rounds) replayed from ``perfbench/workloads.py``.
+REPLAYS = [("median_small2d", 12345, 20), ("viviani_roundtrip", 4242, 60),
+           ("median_sweep_nd", 777, 3)]
+#: (n, k) of the extra sets, each drawn EXTRA_SEEDS times per family.
+EXTRA_SIZES = [(2, 50), (3, 700), (5, 300), (10, 2000), (20, 100), (50, 300), (50, 1000)]
+EXTRA_SEEDS = 4
+OBJECTIVE_RTOL = 1e-15
+
+
+def _extra_sets():
+    import numpy as np
+
+    families = {
+        "gaussian": lambda rng, k, n: rng.normal(size=(k, n)),
+        "t2": lambda rng, k, n: rng.standard_t(2, size=(k, n)),
+        "anisotropic": lambda rng, k, n: rng.normal(size=(k, n))
+        * 10.0 ** rng.uniform(-3.0, 3.0, n),
+        "clusters": lambda rng, k, n: rng.normal(size=(3, n))[rng.integers(0, 3, k)]
+        + 1e-6 * rng.normal(size=(k, n)),
+        "huge": lambda rng, k, n: rng.normal(size=(k, n)) * 1e150 + 3e160,
+    }
+    for f, (family, draw) in enumerate(families.items()):
+        for s, (n, k) in enumerate(EXTRA_SIZES):
+            for i in range(EXTRA_SEEDS):
+                yield f"extra/{family}", draw(np.random.default_rng([f, s, i]), k, n)
+
+
+class _Recorder:
+    """The benchmark's tracer interface: runs every call, and hands the
+    arguments and result of each median solve to ``record``."""
+
+    def __init__(self, record):
+        self.record = record
+        self.label = ""
+
+    def call(self, name, fn, *args, **kwargs):
+        out = fn(*args, **kwargs)
+        if name == "fermat.geometric_median":
+            self.record(self.label, args[0], out)
+        return out
+
+    def count(self, name, value):
+        pass
+
+
+def capture(tree: Path) -> dict:
+    """Every solve of the replay on ``tree``, as JSON-ready records."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import numpy as np
+
+    import viviani.fermat as fermat
+    import workloads
+
+    records = []
+
+    def record(label, pts, res):
+        pts = np.ascontiguousarray(getattr(pts, "points", pts), dtype=float)
+        records.append({
+            "label": label,
+            "input": hashlib.sha1(repr(pts.shape).encode() + pts.tobytes()).hexdigest(),
+            "status": res.status.value,
+            "anchor": res.anchor_index,
+            "iterations": res.iterations,
+            "objective": float(res.objective).hex(),
+            "residual": float(res.residual).hex(),
+            "point": np.asarray(res.point, dtype=float).tobytes().hex(),
+        })
+
+    T = _Recorder(record)
+    for name, seed, rounds in REPLAYS:
+        cls = next(w for w in vars(workloads).values()
+                   if isinstance(w, type) and getattr(w, "name", None) == name)
+        load = cls(seed, str(tree))
+        for r in range(rounds):
+            T.label = f"{name}/{seed}/{r}"
+            for op in load.make_round(r):
+                op.run(T)
+    for label, pts in _extra_sets():
+        record(label, pts, fermat.geometric_median(pts))
+    return {"residual_target": fermat.RESIDUAL_TARGET, "records": records}
+
+
+def _run_capture(tree: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, __file__, "--capture", str(tree)],
+                          capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: capture on {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """Lines of the report; the last one says whether the gate holds."""
+    a, b = parent["records"], change["records"]
+    if len(a) != len(b) or any(x["input"] != y["input"] for x, y in zip(a, b)):
+        return ["inputs differ between the trees: gate FAILED"]
+    target = change["residual_target"]
+    status = anchor = iter_equal = iter_one_fewer = iter_fewer = iter_more = 0
+    identical = residual_over = residual_new = 0
+    worst_obj, worst_obj_at = 0.0, None
+    worst_res, worst_res_at = 0.0, None
+    for i, (x, y) in enumerate(zip(a, b)):
+        identical += x == y
+        status += x["status"] != y["status"]
+        anchor += x["anchor"] != y["anchor"]
+        delta = x["iterations"] - y["iterations"]
+        iter_equal += delta == 0
+        iter_one_fewer += delta == 1
+        iter_fewer += delta > 1
+        iter_more += delta < 0
+        fa, fb = float.fromhex(x["objective"]), float.fromhex(y["objective"])
+        rel = abs(fa - fb) / abs(fa) if fa else abs(fb)
+        if rel > worst_obj or worst_obj_at is None:
+            worst_obj, worst_obj_at = rel, i
+        if y["status"] == "interior_optimum":
+            r = float.fromhex(y["residual"])
+            residual_over += r > target
+            residual_new += r > target >= float.fromhex(x["residual"])
+            if r > worst_res or worst_res_at is None:
+                worst_res, worst_res_at = r, i
+    ok = (status == anchor == iter_more == residual_new == 0
+          and worst_obj <= OBJECTIVE_RTOL)
+
+    def where(i):
+        return "" if i is None else f" ({b[i]['label']}, solve {i})"
+
+    return [
+        f"solves: {len(a)}, identical records: {identical}",
+        f"status differs: {status}, anchor index differs: {anchor}",
+        f"iterations equal: {iter_equal}, one fewer: {iter_one_fewer}, "
+        f"more than one fewer: {iter_fewer}, more: {iter_more}",
+        f"worst objective change: {worst_obj:.3g} relative{where(worst_obj_at)}",
+        f"worst interior residual: {worst_res:.3g}{where(worst_res_at)}, "
+        f"above RESIDUAL_TARGET {target:g}: {residual_over}, "
+        f"of which within it at the parent: {residual_new}",
+        "gate " + ("holds" if ok else "FAILED"),
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, metavar="tree")
+    parser.add_argument("--capture", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.capture is not None:
+        json.dump(capture(args.capture.resolve()), sys.stdout)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give the parent tree and the change tree")
+    parent, change = (_run_capture(t.resolve()) for t in args.trees)
+    lines = compare(parent, change)
+    print("\n".join(lines))
+    return 0 if lines[-1] == "gate holds" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
