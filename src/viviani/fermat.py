@@ -508,7 +508,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
 
     X = np.zeros(n)
     diff = Q
-    qq = np.einsum("ij,ij->i", Q, Q)
+    qq = np.einsum("ij,ij->i", Q, Q)  # kept for _expanded_distances
     qmax = float(qq.max())
     d = np.sqrt(qq)
     line = _is_collinear(diff, d)

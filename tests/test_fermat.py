@@ -699,6 +699,26 @@ class TestExpandedDistances:
         assert len(errors) >= 500
         assert max(errors) <= 1.0
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_max_iter_exit_after_a_plain_step_is_exact(self, max_iter, monkeypatch):
+        # The last step took the expansion, so the exit takes the exact
+        # differences before it reports the objective and the residual.
+        pts = np.random.default_rng(5).normal(size=(1000, 50))
+        expand = fermat._expanded_distances
+        taken = []
+
+        def watched(*args):
+            d = expand(*args)
+            taken.append(d is not None)
+            return d
+
+        monkeypatch.setattr(fermat, "_expanded_distances", watched)
+        res = geometric_median(pts, max_iter=max_iter)
+        assert taken == [True] * max_iter
+        assert res.objective == pytest.approx(total_distance(res.point, pts), rel=1e-15)
+        assert res.residual == pytest.approx(
+            np.linalg.norm(direction_sum_at(res.point, pts)), rel=1e-9)
+
     def test_iterates_inside_the_margin_take_the_exact_path(self):
         rng = np.random.default_rng(32)
         for pts in _expansion_corpus(rng):
