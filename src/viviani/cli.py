@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .document import (
@@ -21,6 +20,7 @@ from .document import (
     load_document,
     planes_document,
     points_document,
+    polygon_document,
     serialize_document,
 )
 from .duality import fermat_to_viviani, viviani_to_fermat
@@ -28,6 +28,7 @@ from .errors import DocumentError, VivianiError
 from .fermat import geometric_median
 from .geometry import (
     DEFAULT_TOL,
+    _lengths,
     as_vector,
     is_viviani,
     viviani_defect,
@@ -35,7 +36,12 @@ from .geometry import (
     viviani_value,
     viviani_values,
 )
-from .polytope import make_equiangular_polygon, platonic_solid_normals, tetrahedron_family
+from .polytope import (
+    _SOLIDS,
+    make_equiangular_polygon,
+    platonic_solid_normals,
+    tetrahedron_family,
+)
 from .sampling import sample_points
 from .svgplot import render_svg
 
@@ -59,11 +65,10 @@ def _box_arg(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError("box needs lo < hi")
+    # with lo < hi, a finite hi - lo means that lo and hi are finite too
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("box needs finite lo, hi and hi - lo")
     return lo, hi
-
-
-def _sides_arg(text: str) -> list[float]:
-    return _point_arg(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,10 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a generated document")
     gen = p.add_subparsers(dest="family", required=True)
     g = gen.add_parser("equiangular", help="equiangular polygon from side lengths")
-    g.add_argument("--sides", type=_sides_arg, required=True)
+    g.add_argument("--sides", type=_point_arg, required=True)
     g = gen.add_parser("platonic", help="face planes of a regular polyhedron")
-    g.add_argument("name", choices=["tetrahedron", "cube", "octahedron",
-                                    "dodecahedron", "icosahedron"])
+    g.add_argument("name", choices=_SOLIDS)
     g = gen.add_parser("example5", help="tetrahedron family member for parameter t")
     g.add_argument("--t", type=float, required=True)
 
@@ -192,7 +196,7 @@ def _cmd_project(args, out) -> int:
     P = as_vector(args.point, dim=S.dimension)
     feet = viviani_to_fermat(S, P)
     recovered = geometric_median(feet)
-    err = float(np.linalg.norm(recovered.point - P))
+    err = float(_lengths((recovered.point - P)[None, :])[0])
     doc = points_document(feet.points, metadata={"recovery_error": repr(err)})
     out.write(serialize_document(doc))
     print(f"recovery_error={err!r}", file=sys.stderr)
@@ -201,8 +205,6 @@ def _cmd_project(args, out) -> int:
 
 def _cmd_generate(args, out) -> int:
     if args.family == "equiangular":
-        from .document import polygon_document
-
         doc = polygon_document(make_equiangular_polygon(args.sides))
     elif args.family == "platonic":
         doc = planes_document(platonic_solid_normals(args.name))

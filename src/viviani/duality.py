@@ -25,6 +25,9 @@ from .fermat import ANCHOR_ETA, PointSet, _norm, _seen_from, geometric_median
 from .geometry import (
     HyperplaneSet,
     OrientedHyperplane,
+    _directions,
+    _lengths,
+    _row_dots,
     as_vector,
     is_viviani,
     signed_distance,
@@ -109,7 +112,8 @@ def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
     """
     verts = G.vertices
     center = verts.mean(axis=0)
-    radii = np.linalg.norm(verts - center, axis=1)
+    spokes = verts - center
+    radii = _lengths(spokes)
     R = float(radii.mean())
     sides = G.side_lengths()
     if (np.abs(radii - R).max() > 1e-6 * R
@@ -120,14 +124,14 @@ def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
         raise VivianiError(
             f"expected {verts.shape[0]} spoke points of dimension 2, got shape {pts.shape}"
         )
-    for i in range(verts.shape[0]):
-        spoke = verts[i] - center
-        u = spoke / np.linalg.norm(spoke)
-        rel = pts[i] - center
-        along = float(rel @ u)
-        off = float(np.linalg.norm(rel - along * u))
-        s = along / float(np.linalg.norm(spoke))
-        if off > 1e-9 * R or s <= 0.0 or s > 1.0 + 1e-9:
-            raise SpokeViolation(f"point {i} is not on its center-to-vertex segment")
+    units = _directions(spokes)
+    rel = pts - center
+    along = _row_dots(rel, units)
+    off = _lengths(rel - along[:, None] * units)
+    s = along / radii
+    bad = (off > 1e-9 * R) | (s <= 0.0) | (s > 1.0 + 1e-9)
+    if bad.any():
+        raise SpokeViolation(f"point {int(bad.argmax())} is not on its "
+                             f"center-to-vertex segment")
     result = geometric_median(pts)
-    return bool(np.linalg.norm(result.point - center) <= tol * R)
+    return bool(_lengths((result.point - center)[None, :])[0] <= tol * R)

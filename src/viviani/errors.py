@@ -17,7 +17,7 @@ class DimensionMismatch(VivianiError):
 
 
 class ZeroNormal(VivianiError):
-    """A direction vector with norm below 1e-12 cannot be normalized."""
+    """The zero vector has no direction to normalize."""
 
 
 class NonUnitNormal(VivianiError):

@@ -101,6 +101,8 @@ COLLINEAR_RATIO = 1e-12
 SLOW_RATIO = 0.3
 #: Armijo trials per Newton step before the polish hands back.
 LINE_SEARCH_TRIALS = 4
+#: Newton steps one polish takes at most.
+POLISH_STEPS = 40
 #: A plain fixed-point step expands its squared distances when every one of
 #: them is proven at least this fraction of ``max |q|^2 + |X|^2``
 #: (``_expanded_distances``).
@@ -290,8 +292,7 @@ def _anchor_certificate(pts: np.ndarray, idx: int, eta: float, out: np.ndarray):
 def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
                    history: list[float] | None, diff: np.ndarray,
                    d: np.ndarray, spare: np.ndarray, *,
-                   passes: Callable[[int], bool],
-                   budget: int = 40
+                   passes: Callable[[int], bool]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """Damped Newton steps on the (smooth away from anchors) distance sum.
 
@@ -333,7 +334,7 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
     """
     n = pts.shape[1]
     crawl = None
-    for _ in range(budget):
+    for _ in range(POLISH_STEPS):
         c = float(d.min())
         if c <= eta:
             break

@@ -26,9 +26,11 @@ Tolerances follow one rule.  Point-space tolerances (coincidence,
 one-sidedness, degeneracy) scale with the magnitude of their operands, so
 translating or scaling an input never changes a verdict.  Normal-space
 tolerances (the defect, unit length) stay absolute, since unit normals have
-no scale.  Norms of point-space vectors are taken after dividing by the
-power of two of :func:`_scale_unit`, which is exact and leaves ordinary
-magnitudes untouched, so their squares neither overflow nor underflow.
+no scale.  Point-space lengths are taken in one place, :func:`_lengths`
+and :func:`_directions`, outside the median solver's own frame: both
+divide by the power of two of :func:`_scale_unit`, which is exact and
+leaves ordinary magnitudes untouched, so their squares neither overflow
+nor underflow.
 """
 
 from __future__ import annotations
@@ -209,6 +211,29 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
+def _lengths(A: np.ndarray) -> np.ndarray:
+    """Euclidean length of each point-space row of ``A``, at any scale.
+
+    The rows are divided by the power of two of :func:`_scale_unit` for
+    ``max|A|`` before they are squared, and only when it is not 1, so
+    ordinary rows get ``np.sqrt(_row_dots(A, A))`` bit for bit.
+    """
+    u = _scale_unit(float(np.abs(A).max()))
+    if u == 1.0:
+        return np.sqrt(_row_dots(A, A))
+    A = A / u
+    return u * np.sqrt(_row_dots(A, A))
+
+
+def _directions(A: np.ndarray) -> np.ndarray:
+    """The rows of ``A`` divided by their lengths, at any scale: unit rows
+    taken after the division of :func:`_lengths`.  Rows must be nonzero."""
+    u = _scale_unit(float(np.abs(A).max()))
+    if u != 1.0:
+        A = A / u
+    return A / np.sqrt(_row_dots(A, A))[:, None]
+
+
 def _unit_deviation(normals: np.ndarray) -> np.ndarray:
     """``|‖n‖ - 1|`` for each row ``n``, as a single vector's check computes it."""
     return np.abs(np.sqrt(_row_dots(normals, normals)) - 1.0)
@@ -217,19 +242,16 @@ def _unit_deviation(normals: np.ndarray) -> np.ndarray:
 def make_hyperplane_from_anchor(normal_raw, anchor) -> OrientedHyperplane:
     """Hyperplane through ``anchor`` oriented along ``normal_raw``.
 
-    The direction is normalized at any scale: it is first divided by the
-    power of two of :func:`_scale_unit`, so ``(1e-300, 0)`` and
-    ``(1e300, 1e300)`` give unit normals.  The offset is fixed so the anchor
-    lies on the plane.  Raises :class:`ZeroNormal` for the zero vector and
+    The direction is normalized at any scale by :func:`_directions`, so
+    ``(1e-300, 0)`` and ``(1e300, 1e300)`` give unit normals.  The offset is
+    fixed so the anchor lies on the plane.  Raises :class:`ZeroNormal` for the zero vector and
     :class:`DimensionMismatch` when the two vectors disagree.
     """
     d = as_vector(normal_raw)
     a = as_vector(anchor, dim=d.size)
-    top = float(np.abs(d).max())
-    if top == 0.0:
+    if not d.any():
         raise ZeroNormal("direction is the zero vector")
-    d = d / _scale_unit(top)
-    n = d / float(np.linalg.norm(d))
+    n = _directions(d[None, :])[0]
     return OrientedHyperplane(n, float(n @ a))
 
 
@@ -280,7 +302,7 @@ def is_viviani(S: HyperplaneSet, tol: float = DEFAULT_TOL) -> bool:
 
     Depends only on the unit normals, never on the offsets.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise VivianiError("tolerance must be positive")
     return viviani_defect(S) <= tol
 

@@ -29,6 +29,8 @@ from .errors import (
 from .geometry import (
     DEFAULT_TOL,
     HyperplaneSet,
+    _directions,
+    _lengths,
     _row_dots,
     _scale_unit,
     as_vector,
@@ -48,7 +50,9 @@ class ConvexPolygon:
     diagonal, which is within sqrt(2) of the true diameter.  The diameter,
     orientation, repeated-vertex and convexity tests all act on differences
     of the vertices divided by the power of two of
-    ``geometry._scale_unit``, so they hold at any scale.
+    ``geometry._scale_unit``, so they hold at any scale; so do
+    :meth:`side_lengths` and the classifiers, which take their lengths
+    through ``geometry._lengths``.
     """
 
     vertices: np.ndarray
@@ -92,8 +96,7 @@ class ConvexPolygon:
         return self._diameter
 
     def side_lengths(self) -> np.ndarray:
-        edges = _next_rows(self.vertices) - self.vertices
-        return np.linalg.norm(edges, axis=1)
+        return _lengths(_next_rows(self.vertices) - self.vertices)
 
 
 def _next_rows(a: np.ndarray) -> np.ndarray:
@@ -117,14 +120,10 @@ def polygon_to_hyperplanes(G: ConvexPolygon) -> HyperplaneSet:
     Each line passes through both endpoints of its edge; for counterclockwise
     vertices the outward normal of edge direction (dx, dy) is (dy, -dx).
     :class:`ConvexPolygon` guarantees every edge is longer than 1e-12 of
-    the diameter, so every edge length here is positive; the edge vectors
-    are divided by a power of two before their norms are taken, so that holds
-    at any scale.
+    the diameter, so every edge length here is positive, at any scale.
     """
     v = G.vertices
-    raw = (_next_rows(v) - v)[:, ::-1] * (1.0, -1.0)
-    raw /= _scale_unit(float(np.abs(raw).max()))
-    normals = raw / np.sqrt(_row_dots(raw, raw))[:, None]
+    normals = _directions((_next_rows(v) - v)[:, ::-1] * (1.0, -1.0))
     return HyperplaneSet.from_arrays(normals, _row_dots(normals, v))
 
 
@@ -156,9 +155,8 @@ def classify_quadrilateral(G: ConvexPolygon, tol: float = 1e-9) -> Quadrilateral
     """
     if G.k != 4:
         raise VivianiError(f"expected a quadrilateral, got {G.k} vertices")
-    e = np.roll(G.vertices, -1, axis=0) - G.vertices
-    scale = tol * G.diameter
-    if np.linalg.norm(e[0] + e[2]) <= scale and np.linalg.norm(e[1] + e[3]) <= scale:
+    e = _next_rows(G.vertices) - G.vertices
+    if float(_lengths(e[:2] + e[2:]).max()) <= tol * G.diameter:
         return QuadrilateralClass.PARALLELOGRAM
     return QuadrilateralClass.NOT_PARALLELOGRAM
 
@@ -195,7 +193,7 @@ def make_equiangular_polygon(side_lengths) -> ConvexPolygon:
     theta = 2.0 * np.pi * np.arange(k) / k
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     residual = s @ dirs
-    if np.linalg.norm(residual) > 1e-9 * float(s.sum()):
+    if float(_lengths(residual[None, :])[0]) > 1e-9 * float(s.sum()):
         raise ClosureViolation(
             f"side lengths do not close: residual {residual.tolist()} "
             f"exceeds 1e-9 of the perimeter"
@@ -247,6 +245,10 @@ def _signs(pattern):
 
 
 def _unit_rows(rows) -> np.ndarray:
+    """Unit rows of the solids' exact unit-scale constants, rounded as
+    ``np.linalg.norm(a, axis=1)`` rounds them, which the generated face
+    planes are pinned to; point-space rows go through
+    ``geometry._directions``."""
     a = np.asarray(rows, dtype=float)
     return a / np.linalg.norm(a, axis=1)[:, None]
 

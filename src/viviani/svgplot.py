@@ -12,6 +12,7 @@ import numpy as np
 
 from .document import ConfigDocument
 from .errors import VivianiError
+from .polytope import _next_rows, polygon_to_hyperplanes
 
 VIEW = 800.0
 MARGIN = 80.0  # 10% of the viewport on each side
@@ -103,12 +104,9 @@ def render_svg(doc: ConfigDocument) -> str:
         verts = doc.polygon.vertices
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_screen(v) for v in verts))
         parts.append(f'<polygon points="{pts}" {_STYLE_EDGE}/>')
-        for i in range(len(verts)):
-            a = verts[i]
-            d = verts[(i + 1) % len(verts)] - a
-            n = np.array([d[1], -d[0]])
-            n = n / np.linalg.norm(n)
-            emit_arrow((a + verts[(i + 1) % len(verts)]) / 2.0, n)
+        normals = polygon_to_hyperplanes(doc.polygon).normals
+        for mid_w, normal in zip((verts + _next_rows(verts)) / 2.0, normals):
+            emit_arrow(mid_w, normal)
     else:
         for row in doc.points:
             x, y = to_screen(row)

@@ -44,6 +44,12 @@ class TestCheck:
         code, _, _ = run(capsys, "check", TRAPEZOID, "--tol", "10")
         assert code == 0
 
+    def test_nan_tol_is_refused(self, capsys):
+        code, out, err = run(capsys, "check", PENTAGON, "--tol", "nan")
+        assert code == viviani.cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "error:" in err
+
     def test_points_doc_rejected(self, capsys):
         code, _, err = run(capsys, "check", CORNERS)
         assert code == 3
@@ -208,6 +214,13 @@ class TestSample:
         assert code == 0
         fields = dict(part.split("=") for part in out.split())
         assert float(fields["spread"]) >= 0.5 * math.sqrt(2.0) * 3.0
+
+    @pytest.mark.parametrize("box", ["-1e308,1e308", "-inf,1", "0,inf"])
+    def test_non_finite_box_is_a_usage_error(self, capsys, box):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sample", CUBE, "--count", "5", "--seed", "1", f"--box={box}"])
+        assert exc.value.code == viviani.cli.EXIT_BAD_INPUT
+        assert "finite" in capsys.readouterr().err
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "sample", CUBE, "--count", "50", "--seed", "11")

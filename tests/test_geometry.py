@@ -237,6 +237,10 @@ class TestDefectAndPredicate:
         with pytest.raises(VivianiError):
             is_viviani(unit_cube_planes(), tol=0.0)
 
+    def test_nan_tol_is_rejected(self):
+        with pytest.raises(VivianiError):
+            is_viviani(unit_cube_planes(), tol=float("nan"))
+
 
 class TestGradientAndLevelSets:
     def test_gradient_of_viviani_set_vanishes(self):

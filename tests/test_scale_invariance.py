@@ -4,7 +4,10 @@ The median solver and the functions that measure a point set from a query
 point (``total_distance``, ``direction_sum_at``, ``fermat_to_viviani``) take
 their distances in one power-of-two scale frame, so a copy scaled anywhere
 from 1e-300 to 1e300, or shifted by up to 1e12, is handled as the set itself
-is.  A shifted copy is compared with the translate it really is,
+is.  The polygon layer (side lengths, classifiers, equiangular closure, the
+spoke check, SVG normals) and ``viviani project`` take their lengths through
+``geometry._lengths`` and ``geometry._directions``, so scaled polygons get
+the unscaled verdicts.  A shifted copy is compared with the translate it really is,
 ``(P + shift) - shift``, which floats hold exactly, and its answers within
 the float spacing at the shift, which is all that floats can represent
 there.  These tests run under ``error::RuntimeWarning``, so any overflow on
@@ -13,18 +16,32 @@ the way fails them.
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from viviani import (
+    ConvexPolygon,
     MedianStatus,
+    QuadrilateralClass,
+    SpokeViolation,
+    TriangleClass,
     VivianiError,
+    classify_quadrilateral,
+    classify_triangle,
     direction_sum_at,
     fermat_to_viviani,
     geometric_median,
+    is_viviani_polygon,
+    make_equiangular_polygon,
     points_document,
+    polygon_document,
+    regular_polygon,
+    render_svg,
     serialize_document,
+    spoke_points_median_check,
     total_distance,
 )
 from viviani import fermat
@@ -158,3 +175,83 @@ def test_cli_median_reports_a_finite_objective(scale, tmp_path, capsys):
     assert out["status"] == "interior_optimum"
     assert math.isfinite(out["objective"])
     assert out["objective"] / scale == pytest.approx(base.objective, rel=1e-12)
+
+
+# --- the polygon layer ------------------------------------------------------
+
+#: The powers of two among these scale every float exactly.
+POLYGON_SCALES = (1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300,
+                  2.0 ** 600, 2.0 ** -600, 2.0 ** 1000, 2.0 ** -1000)
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+PENTAGON = np.array(json.loads((FIXTURES / "pentagon.json").read_text())
+                    ["polygon"]["vertices"])
+#: (vertices, classifier, the class that means Viviani)
+SHAPES = (
+    (regular_polygon(3).vertices, classify_triangle, TriangleClass.EQUILATERAL),
+    (np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]]), classify_triangle,
+     TriangleClass.EQUILATERAL),
+    (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), classify_quadrilateral,
+     QuadrilateralClass.PARALLELOGRAM),
+    (np.array([[0.0, 0.0], [4.0, 0.0], [3.0, 2.0], [1.0, 2.0]]), classify_quadrilateral,
+     QuadrilateralClass.PARALLELOGRAM),
+)
+
+
+def is_power_of_two(x) -> bool:
+    return math.frexp(x)[0] == 0.5
+
+
+@pytest.mark.parametrize("scale", POLYGON_SCALES, ids=lambda s: f"x{s:g}")
+class TestPolygons:
+    def test_classifiers_keep_the_unscaled_verdict(self, scale):
+        for verts, classify, viviani in SHAPES:
+            base, G = ConvexPolygon(verts), ConvexPolygon(verts * scale)
+            got = classify(G)
+            assert got is classify(base), (verts, got)
+            assert (got is viviani) == is_viviani_polygon(G) == is_viviani_polygon(base)
+
+    def test_side_lengths(self, scale):
+        want = ConvexPolygon(PENTAGON).side_lengths()
+        got = ConvexPolygon(PENTAGON * scale).side_lengths()
+        if is_power_of_two(scale):
+            assert np.array_equal(got, want * scale)
+        assert got / scale == pytest.approx(want, rel=1e-15)
+
+    def test_equiangular_polygon_closes(self, scale):
+        sides = np.array([2.0, 1.0, 2.0, 1.0])
+        G = make_equiangular_polygon(sides * scale)
+        base = make_equiangular_polygon(sides)
+        assert np.abs(G.vertices / scale - base.vertices).max() <= 1e-15
+        assert is_viviani_polygon(G)
+
+    def test_spoke_check(self, scale):
+        pent = regular_polygon(5, circumradius=1.5, center=(-2.0, 0.5), phase=0.7)
+        center = pent.vertices.mean(axis=0)
+        B = center + np.linspace(0.2, 1.0, 5)[:, None] * (pent.vertices - center)
+        assert spoke_points_median_check(ConvexPolygon(pent.vertices * scale), B * scale)
+        B[2] += (0.0, 0.05)
+        with pytest.raises(SpokeViolation, match="point 2"):
+            spoke_points_median_check(ConvexPolygon(pent.vertices * scale), B * scale)
+
+    def test_svg(self, scale):
+        want = render_svg(polygon_document(ConvexPolygon(PENTAGON)))
+        got = render_svg(polygon_document(ConvexPolygon(PENTAGON * scale)))
+        if is_power_of_two(scale):
+            assert got == want
+        number = r"-?\d+\.\d{3}"
+        assert re.sub(number, "#", got) == re.sub(number, "#", want)
+        assert np.abs(np.array(re.findall(number, got), dtype=float)
+                      - np.array(re.findall(number, want), dtype=float)).max() <= 0.001
+
+    def test_cli_project_reports_a_finite_recovery_error(self, scale, tmp_path, capsys):
+        cube = json.loads((FIXTURES / "cube.json").read_text())
+        for plane in cube["planes"]:
+            plane["offset"] *= scale
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(cube))
+        point = ",".join(repr(x * scale) for x in (0.3, 0.4, 0.6))
+        assert run_cli(["project", str(path), "--point", point]) == 0
+        captured = capsys.readouterr()
+        err = float(captured.err.strip().removeprefix("recovery_error="))
+        assert 0.0 <= err <= 1e-9 * scale
+        assert json.loads(captured.out)["metadata"]["recovery_error"] == repr(err)
