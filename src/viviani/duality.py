@@ -63,7 +63,7 @@ def fermat_to_viviani(A, P) -> HyperplaneSet:
     ``k * 1e-6`` in norm, else :class:`NotAFermatPoint`.  All signed
     distances from ``P`` to the result are the positive spoke lengths, and
     the result's defect equals the certificate norm.  The spokes are taken
-    in the solver's scale frame, so any scale from 1e-300 to 1e300 works.
+    in the solver's scale frame, so every finite input works.
     """
     pts, diff, d, _, diag = _seen_from(P, A)
     k = pts.shape[0]

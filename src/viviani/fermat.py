@@ -8,11 +8,14 @@ toward the other points have a sum of norm at most 1.  Both conditions are
 computed and reported as the ``residual`` of the returned result, so every
 answer carries a numerical certificate.
 
-All distances are taken in one frame (``_frame``): the points minus their
-centroid ``c``, divided by an exact power of two ``u`` (1 for ordinary
-inputs), so no squared distance overflows or underflows from 1e-300 to 1e300
-or at any offset.  Answers map back as ``c + u y``, rounded as ``MedianResult``
-bounds (an anchor is its input row); objective and ``history`` scale by ``u``.
+All distances are taken in one frame (``_frame``): divide, then centre.
+The points are divided by the exact power of two ``u`` of
+``geometry._unit_box`` (1 for ordinary inputs) and then moved by minus
+their centroid ``c`` in that unit, so no difference, sum or squared distance
+overflows or underflows for any finite input, at any scale or offset.
+Answers map back as ``u (c + y)``, rounded as ``MedianResult`` bounds (an
+anchor is its input row); objective and ``history`` scale by ``u``, and an
+objective beyond the float maximum is reported as ``inf``.
 
 The solver is Weiszfeld fixed-point iteration from the centroid, used only
 to globalise: whenever a step fails to shrink by ``SLOW_RATIO``, and at
@@ -84,7 +87,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoincidesWithAnchor, VivianiError
-from .geometry import _scale_unit, as_vector
+from .geometry import _unit_box, as_vector
 
 #: Anchor optimality accepts a direction-sum norm up to (multiplicity + this).
 ANCHOR_SLACK = 1e-9
@@ -151,7 +154,7 @@ class MedianResult:
     """Solver output.
 
     ``objective`` and ``residual`` are those of the unrounded answer
-    ``c + u y``; rounding it to ``point`` adds at most ``k |point - (c + u
+    ``u (c + y)``; rounding it to ``point`` adds at most ``k |point - u (c +
     y)|`` to the distance sum: about 1e-16 relative at ordinary scales, the
     float spacing (1.2e-4) per point at a +1e12 offset.
     ``residual`` is the norm of the optimality certificate: the direction
@@ -195,28 +198,26 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _frame(P: np.ndarray):
-    """``(c, u, Q, diag)`` with ``Q = (P - c)/u``, taken in place over ``P``:
-    ``c`` is the centroid, ``u`` the power of two that brings the box
-    half-width into [2^-400, 2^400] (``geometry._scale_unit``), ``diag`` the
-    box diagonal in units of ``u``."""
-    w = P.max(axis=0) - P.min(axis=0)
-    u = _scale_unit(0.5 * float(w.max()))
-    c = P.sum(axis=0) / P.shape[0]
-    P -= c
+    """``(c, u, Q, diag)`` with ``Q = P/u - c``, taken in place over ``P``:
+    divide, then centre.  ``u`` is the point set's unit
+    (``geometry._unit_box``); ``c``, the centroid, and ``diag``, the box
+    diagonal, are in units of ``u``."""
+    u, lo, hi = _unit_box(P)
     if u != 1.0:
         P /= u
-        w /= u
-    return c, u, P, _norm(w)
+    c = P.sum(axis=0) / P.shape[0]
+    P -= c
+    return c, u, P, _norm(hi - lo)
 
 
 def _seen_from(X, A):
     """``(pts, diff, d, u, diag)``: the points of ``A``, their frame
-    differences ``diff = Q - (X - c)/u`` from ``X``, taken in place over the
+    differences ``diff = Q - (X/u - c)`` from ``X``, taken in place over the
     one frame copy ``Q``, and the norms ``d``."""
     pts = _points(A)
     x = as_vector(X, dim=pts.shape[1])
     c, u, diff, diag = _frame(np.array(pts, order="F"))
-    diff -= (x - c) / u
+    diff -= x / u - c
     return pts, diff, _distances(diff), u, diag
 
 
@@ -343,7 +344,9 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         if _norm(g) <= 0.25 * RESIDUAL_TARGET:
             break
         r = c * w
-        V = np.multiply(diff, (np.sqrt(r) * w)[:, None], out=spare)
+        a = np.sqrt(r)
+        a *= w
+        V = np.multiply(diff, a[:, None], out=spare)
         H = V.T @ V
         np.negative(H, out=H)
         h = H.reshape(-1)[::n + 1]  # a view of the diagonal
@@ -356,26 +359,29 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
         slope = -float(g @ p)
         if slope >= 0.0:
             break
-        ahead = np.where(diff @ p > 0.0, d, np.inf)
-        i = int(ahead.argmin())
-        reach = 0.5 * float(ahead[i])
         length = _norm(p)
         t = 1.0
-        if length > reach:
-            if passes(i):
-                return X, diff, d, i
-            if i == crawl:
-                # capped by the same failing point twice: the step is
-                # crawling onto it by halves along a valley whose optimum
-                # lies beyond it, so the next point ahead is tested too
-                ahead[i] = np.inf
-                j = int(ahead.argmin())
-                if ahead[j] < np.inf and passes(j):
-                    return X, diff, d, j
-            crawl = i
-            t = reach / length
+        # every point ahead is at least c away, so no cap binds below c/2
+        if length > 0.5 * c:
+            ahead = np.where(diff @ p > 0.0, d, np.inf)
+            i = int(ahead.argmin())
+            reach = 0.5 * float(ahead[i])
+            if length > reach:
+                if passes(i):
+                    return X, diff, d, i
+                if i == crawl:
+                    # capped by the same failing point twice: the step is
+                    # crawling onto it by halves along a valley whose
+                    # optimum lies beyond it, so the next point ahead is
+                    # tested too
+                    ahead[i] = np.inf
+                    j = int(ahead.argmin())
+                    if ahead[j] < np.inf and passes(j):
+                        return X, diff, d, j
+                crawl = i
+                t = reach / length
         for _ in range(LINE_SEARCH_TRIALS):
-            Xn = X + t * p
+            Xn = X + p if t == 1.0 else X + t * p
             s = Xn - X
             if not s.any():
                 # the step is below the float spacing at X; halving t
@@ -383,7 +389,11 @@ def _newton_polish(pts: np.ndarray, X: np.ndarray, eta: float,
                 return X, diff, d, None
             diffn = np.subtract(pts, Xn, out=spare)
             dn = _distances(diffn)
-            df = float(((s @ s - 2.0 * (diff @ s)) / (dn + d)).sum())
+            q = diff @ s
+            q *= -2.0
+            q += s @ s
+            q /= dn + d
+            df = float(q.sum())
             if df <= 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -488,7 +498,7 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
 
     def finish(y, status, residual, d, anchor_index=None):
         # y: the answer in the frame, d: the frame distances at it
-        p = c + u * y if anchor_index is None else np.array(pts[anchor_index])
+        p = u * (c + y) if anchor_index is None else np.array(pts[anchor_index])
         p.flags.writeable = False
         return MedianResult(
             point=p,
@@ -505,7 +515,6 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         return finish(None, MedianStatus.ANCHOR_OPTIMUM, 0.0, np.zeros(k), 0)
 
     eta = ANCHOR_ETA * diag
-    cu = c / u  # x = c + u X, so the caller's tol (1 + |x|) is u tol (1/u + |X + cu|)
 
     X = np.zeros(n)
     diff = Q
@@ -579,7 +588,8 @@ def geometric_median(A, tol: float = 1e-10, max_iter: int = 10000,
         Xn = (w @ Q) / w.sum()
         step = _norm(Xn - X)
         X = Xn
-        converged = step <= tol * (1.0 / u + _norm(X + cu))
+        # x = u (c + X), so the caller's tol (1 + |x|) is u tol (1/u + |X + c|)
+        converged = step <= tol * (1.0 / u + _norm(X + c))
         slow = step > SLOW_RATIO * last_step
         last_step = step
         if not (converged or slow):

@@ -27,10 +27,13 @@ one-sidedness, degeneracy) scale with the magnitude of their operands, so
 translating or scaling an input never changes a verdict.  Normal-space
 tolerances (the defect, unit length) stay absolute, since unit normals have
 no scale.  Point-space lengths are taken in one place, :func:`_lengths`
-and :func:`_directions`, outside the median solver's own frame: both
-divide by the power of two of :func:`_scale_unit`, which is exact and
-leaves ordinary magnitudes untouched, so their squares neither overflow
-nor underflow.
+and :func:`_directions`: both divide by the power of two of
+:func:`_scale_unit`, which is exact and leaves ordinary magnitudes
+untouched, so their squares neither overflow nor underflow.  A point set's
+own unit is chosen in one place too, :func:`_unit_box`, from half-widths
+that cannot overflow; the median solver, :class:`~viviani.ConvexPolygon`
+and the SVG viewport divide by it before they take any difference, so
+every finite input keeps its differences finite.
 """
 
 from __future__ import annotations
@@ -196,10 +199,33 @@ def _scale_unit(length: float) -> float:
     """The power of two that point-space quantities of magnitude ``length``
     are divided by before they are squared: 1 when ``length`` lies in
     [2^-400, 2^400] (or is 0), so ordinary inputs are not divided at all;
-    else the power of two that brings ``length`` into [1, 2)."""
+    else the power of two that brings ``length`` into [1, 2).  An infinite
+    or NaN ``length`` (an overflowed difference) raises :class:`VivianiError`."""
     if length == 0.0 or 2.0 ** -400 <= length <= 2.0 ** 400:
         return 1.0
+    if not math.isfinite(length):
+        raise VivianiError(f"a scale needs a finite length, got {length!r}")
     return math.ldexp(1.0, math.frexp(length)[1] - 1)
+
+
+def _unit_box(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(u, lo, hi)``: the unit of the point set whose rows are ``A``, and
+    the corners of its bounding box divided by it.
+
+    ``u`` is the :func:`_scale_unit` power of two of the largest box
+    half-width, taken as ``0.5 max - 0.5 min``, which cannot overflow for
+    finite rows; so it is 1 for ordinary inputs.  Callers divide the points
+    by ``u`` before they take any difference, and then no difference,
+    centroid or squared distance of the set overflows or underflows.  The
+    division is exact wherever its quotients stay normal floats, so there
+    it changes no bit of a result that did not overflow without it.
+    """
+    hi, lo = A.max(axis=0), A.min(axis=0)
+    u = _scale_unit(float((0.5 * hi - 0.5 * lo).max()))
+    if u != 1.0:
+        hi /= u
+        lo /= u
+    return u, lo, hi
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .geometry import (
     _directions,
     _lengths,
     _row_dots,
-    _scale_unit,
+    _unit_box,
     as_vector,
     is_viviani,
 )
@@ -47,12 +47,15 @@ class ConvexPolygon:
     Clockwise input is reoriented silently (orientation is presentation, the
     outward-normal contract is what matters).  Repeated vertices or collinear
     edges are rejected.  "Diameter" below always means the bounding-box
-    diagonal, which is within sqrt(2) of the true diameter.  The diameter,
-    orientation, repeated-vertex and convexity tests all act on differences
-    of the vertices divided by the power of two of
-    ``geometry._scale_unit``, so they hold at any scale; so do
-    :meth:`side_lengths` and the classifiers, which take their lengths
-    through ``geometry._lengths``.
+    diagonal, which is within sqrt(2) of the true diameter.  The polygon
+    works in its own frame: its vertices divided by the power of two of
+    ``geometry._unit_box``, not centred, so its edges keep their bits.  The
+    box, the orientation, repeated-vertex and convexity tests, the edges,
+    :meth:`side_lengths`, the classifiers' comparisons and the directions
+    of :func:`polygon_to_hyperplanes` are all taken there, so they hold for
+    every finite input.  Only :attr:`diameter` and :meth:`side_lengths`
+    return to the caller's unit, so they overflow where the true value
+    exceeds the float maximum, and only there.
     """
 
     vertices: np.ndarray
@@ -65,9 +68,8 @@ class ConvexPolygon:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidPolygon("vertex coordinates must be finite")
-        box = v.max(axis=0) - v.min(axis=0)
-        u = _scale_unit(0.5 * float(box.max()))
-        diam = float(np.linalg.norm(box / u))
+        u, lo, hi = _unit_box(v)
+        diam = float(np.linalg.norm(hi - lo))
         if diam <= 0.0:
             raise InvalidPolygon("all vertices coincide")
         # shoelace sign, taken about the first vertex; flip clockwise input
@@ -84,8 +86,12 @@ class ConvexPolygon:
         if np.any(cross <= _REL_EPS * diam * diam):
             raise InvalidPolygon("polygon is not strictly convex")
         v.flags.writeable = False
+        edges.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "_diameter", u * diam)
+        # the frame: its unit, and the diameter and edges in that unit
+        object.__setattr__(self, "_unit", u)
+        object.__setattr__(self, "_diam", diam)
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def k(self) -> int:
@@ -93,10 +99,10 @@ class ConvexPolygon:
 
     @property
     def diameter(self) -> float:
-        return self._diameter
+        return self._unit * self._diam
 
     def side_lengths(self) -> np.ndarray:
-        return _lengths(_next_rows(self.vertices) - self.vertices)
+        return self._unit * _lengths(self._edges)
 
 
 def _next_rows(a: np.ndarray) -> np.ndarray:
@@ -122,9 +128,8 @@ def polygon_to_hyperplanes(G: ConvexPolygon) -> HyperplaneSet:
     :class:`ConvexPolygon` guarantees every edge is longer than 1e-12 of
     the diameter, so every edge length here is positive, at any scale.
     """
-    v = G.vertices
-    normals = _directions((_next_rows(v) - v)[:, ::-1] * (1.0, -1.0))
-    return HyperplaneSet.from_arrays(normals, _row_dots(normals, v))
+    normals = _directions(G._edges[:, ::-1] * (1.0, -1.0))
+    return HyperplaneSet.from_arrays(normals, _row_dots(normals, G.vertices))
 
 
 def is_viviani_polygon(G: ConvexPolygon, tol: float = DEFAULT_TOL) -> bool:
@@ -140,8 +145,8 @@ def classify_triangle(G: ConvexPolygon, side_tol: float = 1e-9) -> TriangleClass
     """
     if G.k != 3:
         raise VivianiError(f"expected a triangle, got {G.k} vertices")
-    s = G.side_lengths()
-    if float(s.max() - s.min()) <= side_tol * G.diameter:
+    s = _lengths(G._edges)
+    if float(s.max() - s.min()) <= side_tol * G._diam:
         return TriangleClass.EQUILATERAL
     return TriangleClass.NOT_EQUILATERAL
 
@@ -155,8 +160,8 @@ def classify_quadrilateral(G: ConvexPolygon, tol: float = 1e-9) -> Quadrilateral
     """
     if G.k != 4:
         raise VivianiError(f"expected a quadrilateral, got {G.k} vertices")
-    e = _next_rows(G.vertices) - G.vertices
-    if float(_lengths(e[:2] + e[2:]).max()) <= tol * G.diameter:
+    e = G._edges
+    if float(_lengths(e[:2] + e[2:]).max()) <= tol * G._diam:
         return QuadrilateralClass.PARALLELOGRAM
     return QuadrilateralClass.NOT_PARALLELOGRAM
 

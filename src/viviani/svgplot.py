@@ -3,7 +3,11 @@
 Fixed 800x800 viewport, 10% padding, lines drawn edge to edge with a short
 arrow showing each unit normal.  Output depends only on the document
 contents: coordinates are formatted with a fixed precision and elements are
-emitted in document order, so identical inputs give identical bytes.
+emitted in document order, so identical inputs give identical bytes.  The
+viewport is taken in the content's own unit (``geometry._unit_box``): world
+coordinates are divided by that power of two before any difference, so
+every finite document renders, and a copy scaled by a power of two renders
+the same bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import numpy as np
 
 from .document import ConfigDocument
 from .errors import VivianiError
+from .geometry import _unit_box
 from .polytope import _next_rows, polygon_to_hyperplanes
 
 VIEW = 800.0
@@ -38,15 +43,15 @@ def render_svg(doc: ConfigDocument) -> str:
 
     if doc.planes is not None:
         normals, offsets = doc.planes.normals, doc.planes.offsets
-        anchors = offsets[:, None] * normals
-        content = anchors
+        content = offsets[:, None] * normals  # the anchors
     elif doc.polygon is not None:
         content = doc.polygon.vertices
     else:
         content = doc.points
 
-    lo = content.min(axis=0)
-    hi = content.max(axis=0)
+    # the viewport, and every world point drawn, in units of u
+    u, lo, hi = _unit_box(content)
+    world = content / u
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     if span <= 0.0:
         span = 2.0
@@ -88,7 +93,7 @@ def render_svg(doc: ConfigDocument) -> str:
         )
 
     if doc.planes is not None:
-        for normal, offset, anchor in zip(normals, offsets, anchors):
+        for normal, offset, anchor in zip(normals, offsets / u, world):
             seg = _clip_line(normal, offset, window)
             if seg is None:
                 continue
@@ -101,14 +106,14 @@ def render_svg(doc: ConfigDocument) -> str:
             )
             emit_arrow(anchor, normal)
     elif doc.polygon is not None:
-        verts = doc.polygon.vertices
+        verts = world
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_screen(v) for v in verts))
         parts.append(f'<polygon points="{pts}" {_STYLE_EDGE}/>')
         normals = polygon_to_hyperplanes(doc.polygon).normals
         for mid_w, normal in zip((verts + _next_rows(verts)) / 2.0, normals):
             emit_arrow(mid_w, normal)
     else:
-        for row in doc.points:
+        for row in world:
             x, y = to_screen(row)
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" {_STYLE_POINT}/>')
 

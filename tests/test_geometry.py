@@ -29,6 +29,7 @@ from viviani import (
     viviani_value,
     viviani_values,
 )
+from viviani.geometry import _scale_unit, _unit_box
 from viviani.polytope import ConvexPolygon, make_equiangular_polygon
 
 from helpers import (
@@ -504,3 +505,35 @@ class TestNoPerPlaneObjects:
         HyperplaneSet((OrientedHyperplane(np.array([1.0, 0.0]), 0.0),
                        OrientedHyperplane(np.array([0.0, 1.0]), 0.0)))
         assert len(calls) == 2
+
+
+class TestScaleUnit:
+    """``_scale_unit`` picks powers of two; ``_unit_box`` is a point set's unit."""
+
+    def test_ordinary_lengths_are_not_divided(self):
+        for length in (0.0, 2.0 ** -400, 1.0, 3e12, 2.0 ** 400):
+            assert _scale_unit(length) == 1.0
+
+    def test_extreme_lengths_map_into_one_to_two(self):
+        for length in (5e-324, 1e-300, 1e300, 1.7e308):
+            u = _scale_unit(length)
+            assert math.frexp(u)[0] == 0.5 and 1.0 <= length / u < 2.0
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_non_finite_lengths_are_refused(self, length):
+        with pytest.raises(VivianiError, match="finite"):
+            _scale_unit(length)
+
+    def test_unit_box_of_a_set_spanning_the_float_range(self):
+        A = np.array([[-1.7e308, 0.0], [1.7e308, 1e308]])
+        u, lo, hi = _unit_box(A)
+        assert u == 2.0 ** 1023
+        assert np.array_equal(lo, A.min(axis=0) / u)
+        assert np.array_equal(hi, A.max(axis=0) / u)
+        assert np.isfinite(hi - lo).all()
+
+    def test_unit_box_leaves_ordinary_sets_alone(self):
+        A = np.random.default_rng(27).normal(size=(20, 3)) * 1e6 + 1e12
+        u, lo, hi = _unit_box(A)
+        assert u == 1.0
+        assert np.array_equal(lo, A.min(axis=0)) and np.array_equal(hi, A.max(axis=0))

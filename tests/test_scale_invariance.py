@@ -7,7 +7,10 @@ from 1e-300 to 1e300, or shifted by up to 1e12, is handled as the set itself
 is.  The polygon layer (side lengths, classifiers, equiangular closure, the
 spoke check, SVG normals) and ``viviani project`` take their lengths through
 ``geometry._lengths`` and ``geometry._directions``, so scaled polygons get
-the unscaled verdicts.  A shifted copy is compared with the translate it really is,
+the unscaled verdicts.  The solver, ``ConvexPolygon`` and the SVG viewport
+divide a point set by its unit before they take any difference, so sets
+near the float maximum get the answers of their exactly scaled-down copies.
+A shifted copy is compared with the translate it really is,
 ``(P + shift) - shift``, which floats hold exactly, and its answers within
 the float spacing at the shift, which is all that floats can represent
 there.  These tests run under ``error::RuntimeWarning``, so any overflow on
@@ -38,6 +41,7 @@ from viviani import (
     make_equiangular_polygon,
     points_document,
     polygon_document,
+    polygon_to_hyperplanes,
     regular_polygon,
     render_svg,
     serialize_document,
@@ -255,3 +259,86 @@ class TestPolygons:
         err = float(captured.err.strip().removeprefix("recovery_error="))
         assert 0.0 <= err <= 1e-9 * scale
         assert json.loads(captured.out)["metadata"]["recovery_error"] == repr(err)
+
+
+# --- finite inputs near the float maximum -----------------------------------
+
+#: Finite sets whose widths, differences or centroid sums exceed the float
+#: maximum unless the set is divided by its unit first: one spanning
+#: +-1e308, and one of a single sign whose coordinate sums overflow.
+NEAR_MAX = {
+    "spanning": np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308], [3e307, -5e307]]),
+    "same_sign": np.array([[1e308, 1e308], [1.5e308, 1e308], [1e308, 1.5e308],
+                           [1.3e308, 1.2e308]]),
+}
+#: Query points of the sets above, off every input point.
+NEAR_MAX_QUERY = {"spanning": np.array([2e307, -1e297]),
+                  "same_sign": np.array([1.2e308, 1.15e308])}
+#: The exact scale of the copies the near-maximum sets are compared with.
+TINY = 2.0 ** -1000
+NEAR_MAX_POLYGONS = {
+    "triangle": np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]]),
+    "square": np.array([[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308],
+                        [-1e308, 1e308]]),
+}
+
+
+class TestNearTheFloatMaximum:
+    def test_median_equals_that_of_the_quarter_scale_copy(self):
+        P = NEAR_MAX["spanning"]
+        res, quarter = geometric_median(P), geometric_median(P / 4)
+        assert res.status is quarter.status is MedianStatus.INTERIOR_OPTIMUM
+        assert np.array_equal(res.point, 4 * quarter.point)
+        assert res.residual == quarter.residual <= fermat.RESIDUAL_TARGET
+        assert res.iterations == quarter.iterations
+        # the true distance sum, about 3.5e308, exceeds the float maximum
+        assert res.objective == math.inf
+        assert quarter.objective == pytest.approx(8.82e307, rel=1e-3)
+
+    @pytest.mark.parametrize("name", NEAR_MAX)
+    def test_median_equals_that_of_the_tiny_copy(self, name):
+        P = NEAR_MAX[name]
+        res, tiny = geometric_median(P), geometric_median(P * TINY)
+        assert res.status is tiny.status
+        assert res.anchor_index == tiny.anchor_index
+        assert np.array_equal(res.point, tiny.point / TINY)
+        assert res.residual == tiny.residual
+        assert res.iterations == tiny.iterations
+
+    @pytest.mark.parametrize("name", NEAR_MAX)
+    def test_queries_equal_those_of_the_tiny_copy(self, name):
+        P, X = NEAR_MAX[name], NEAR_MAX_QUERY[name]
+        assert total_distance(X, P) == total_distance(X * TINY, P * TINY) / TINY
+        assert np.array_equal(direction_sum_at(X, P), direction_sum_at(X * TINY, P * TINY))
+        X = geometric_median(P).point if name == "spanning" else X
+        got = outcome(fermat_to_viviani, P, X)
+        want = outcome(fermat_to_viviani, P * TINY, X * TINY)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert np.array_equal(got.normals, want.normals)
+        assert np.array_equal(got.offsets, want.offsets / TINY)
+
+    @pytest.mark.parametrize("name", NEAR_MAX_POLYGONS)
+    def test_polygons_keep_the_verdicts_of_the_tiny_copy(self, name):
+        verts = NEAR_MAX_POLYGONS[name]
+        G, H = ConvexPolygon(verts), ConvexPolygon(verts * TINY)
+        assert np.array_equal(G.vertices, H.vertices / TINY)
+        assert np.array_equal(polygon_to_hyperplanes(G).normals,
+                              polygon_to_hyperplanes(H).normals)
+        classify = classify_triangle if G.k == 3 else classify_quadrilateral
+        assert classify(G) is classify(H)
+        assert is_viviani_polygon(G) == is_viviani_polygon(H)
+        if name == "square":
+            assert classify(G) is QuadrilateralClass.PARALLELOGRAM
+            assert is_viviani_polygon(G)
+
+    @pytest.mark.parametrize("name", list(NEAR_MAX) + list(NEAR_MAX_POLYGONS))
+    def test_svg_equals_that_of_the_tiny_copy(self, name):
+        if name in NEAR_MAX:
+            def document(scale):
+                return points_document(NEAR_MAX[name] * scale)
+        else:
+            def document(scale):
+                return polygon_document(ConvexPolygon(NEAR_MAX_POLYGONS[name] * scale))
+        assert render_svg(document(1.0)) == render_svg(document(TINY))

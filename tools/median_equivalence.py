@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Replay the same median solves on two source trees and diff the answers.
+"""Replay the same median solves and polygons on two source trees and diff
+the answers.
 
     python3 tools/median_equivalence.py <parent-tree> <change-tree>
 
@@ -15,13 +16,21 @@ the tree's ``src`` and rebuilds the inputs with the tree's own
   two degrees of freedom, anisotropic, clusters of width 1e-6, and
   Gaussian sets scaled by 1e150 and moved by 3e160.
 
+It also builds seeded polygons through each tree's ``viviani``:
+equiangular polygons with k = 3-11 closing sides scaled by 10^-5 to 10^5,
+and random convex polygons with k = 3-9 vertices on an ellipse, scaled the
+same way and moved.
+
 Every solve records its status, anchor index, iterations, objective,
-residual and point.  The trees must have built byte-identical inputs.  The
-diff prints the counts and the worst case of each field, and exits 1 when
-the change tree fails the gate: a status or an anchor index differs, an
-objective moves by more than 1e-15 relative, a solve takes more
-iterations, or an interior residual exceeds the tree's
-``RESIDUAL_TARGET`` where the parent's did not.
+residual and point.  Every polygon records its vertices, normals, offsets,
+side lengths, diameter, classifier and Viviani verdicts and the bytes of
+its SVG (or the error its construction raised).  The trees must have built
+byte-identical inputs.  The diff prints the counts and the worst case of
+each field, and exits 1 when the change tree fails the gate: a status or an
+anchor index differs, an objective moves by more than 1e-15 relative, a
+solve takes more iterations, an interior residual exceeds the tree's
+``RESIDUAL_TARGET`` where the parent's did not, or a polygon's verdicts or
+construction error differ.
 """
 
 from __future__ import annotations
@@ -41,6 +50,13 @@ REPLAYS = [("median_small2d", 12345, 20), ("viviani_roundtrip", 4242, 60),
 EXTRA_SIZES = [(2, 50), (3, 700), (5, 300), (10, 2000), (20, 100), (50, 300), (50, 1000)]
 EXTRA_SEEDS = 4
 OBJECTIVE_RTOL = 1e-15
+#: Seeded equiangular and random convex polygons built on each tree.
+EQUIANGULAR_POLYGONS = 3000
+RANDOM_POLYGONS = 1000
+#: What each polygon records; the gate holds only if VERDICTS agree.
+POLYGON_FIELDS = ("error", "vertices", "normals", "offsets", "side_lengths",
+                  "diameter", "classifier", "viviani", "svg")
+VERDICTS = ("error", "classifier", "viviani")
 
 
 def _extra_sets():
@@ -59,6 +75,53 @@ def _extra_sets():
         for s, (n, k) in enumerate(EXTRA_SIZES):
             for i in range(EXTRA_SEEDS):
                 yield f"extra/{family}", draw(np.random.default_rng([f, s, i]), k, n)
+
+
+def _polygons():
+    """``(label, kind, data)``: side lengths of closing equiangular polygons,
+    and vertices of random convex ones."""
+    import numpy as np
+
+    rng = np.random.default_rng(2010)
+    for _ in range(EQUIANGULAR_POLYGONS):
+        k = int(rng.integers(3, 12))
+        theta = 2.0 * np.pi * np.arange(k) / k
+        D = np.array([np.cos(theta), np.sin(theta)])
+        # random lengths projected onto the closing ones, kept if positive
+        s = rng.uniform(0.5, 2.0, k)
+        s -= D.T @ np.linalg.solve(D @ D.T, D @ s)
+        if s.min() > 0.0:
+            yield "equiangular", s * 10.0 ** rng.uniform(-5.0, 5.0)
+    for _ in range(RANDOM_POLYGONS):
+        k = int(rng.integers(3, 10))
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        axes = rng.uniform(0.2, 1.0, 2) * 10.0 ** rng.uniform(-5.0, 5.0)
+        yield "convex", np.column_stack([np.cos(t), np.sin(t)]) * axes + rng.normal(size=2)
+
+
+def _polygon_record(viviani, kind, data) -> dict:
+    import numpy as np
+
+    def hexed(a):
+        return np.asarray(a, dtype=float).tobytes().hex()
+
+    rec = {"label": f"polygon/{kind}", "input": hexed(data)}
+    try:
+        G = (viviani.make_equiangular_polygon(data) if kind == "equiangular"
+             else viviani.ConvexPolygon(data))
+    except viviani.VivianiError as exc:
+        rec["error"] = type(exc).__name__
+        return rec
+    S = viviani.polygon_to_hyperplanes(G)
+    classify = {3: viviani.classify_triangle, 4: viviani.classify_quadrilateral}.get(G.k)
+    svg = viviani.render_svg(viviani.polygon_document(G)).encode()
+    rec.update(error=None, vertices=hexed(G.vertices), normals=hexed(S.normals),
+               offsets=hexed(S.offsets), side_lengths=hexed(G.side_lengths()),
+               diameter=float(G.diameter).hex(),
+               classifier=classify(G).value if classify else None,
+               viviani=viviani.is_viviani_polygon(G),
+               svg=hashlib.sha1(svg).hexdigest())
+    return rec
 
 
 class _Recorder:
@@ -84,6 +147,7 @@ def capture(tree: Path) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import numpy as np
 
+    import viviani
     import viviani.fermat as fermat
     import workloads
 
@@ -113,7 +177,9 @@ def capture(tree: Path) -> dict:
                 op.run(T)
     for label, pts in _extra_sets():
         record(label, pts, fermat.geometric_median(pts))
-    return {"residual_target": fermat.RESIDUAL_TARGET, "records": records}
+    polygons = [_polygon_record(viviani, kind, data) for kind, data in _polygons()]
+    return {"residual_target": fermat.RESIDUAL_TARGET, "records": records,
+            "polygons": polygons}
 
 
 def _run_capture(tree: Path) -> dict:
@@ -129,7 +195,9 @@ def _run_capture(tree: Path) -> dict:
 def compare(parent: dict, change: dict) -> list[str]:
     """Lines of the report; the last one says whether the gate holds."""
     a, b = parent["records"], change["records"]
-    if len(a) != len(b) or any(x["input"] != y["input"] for x, y in zip(a, b)):
+    ga, gb = parent["polygons"], change["polygons"]
+    if any(len(x) != len(y) or any(p["input"] != q["input"] for p, q in zip(x, y))
+           for x, y in ((a, b), (ga, gb))):
         return ["inputs differ between the trees: gate FAILED"]
     target = change["residual_target"]
     status = anchor = iter_equal = iter_one_fewer = iter_fewer = iter_more = 0
@@ -155,8 +223,11 @@ def compare(parent: dict, change: dict) -> list[str]:
             residual_new += r > target >= float.fromhex(x["residual"])
             if r > worst_res or worst_res_at is None:
                 worst_res, worst_res_at = r, i
+    differs = {f: sum(p.get(f) != q.get(f) for p, q in zip(ga, gb))
+               for f in POLYGON_FIELDS}
     ok = (status == anchor == iter_more == residual_new == 0
-          and worst_obj <= OBJECTIVE_RTOL)
+          and worst_obj <= OBJECTIVE_RTOL
+          and not any(differs[f] for f in VERDICTS))
 
     def where(i):
         return "" if i is None else f" ({b[i]['label']}, solve {i})"
@@ -170,6 +241,9 @@ def compare(parent: dict, change: dict) -> list[str]:
         f"worst interior residual: {worst_res:.3g}{where(worst_res_at)}, "
         f"above RESIDUAL_TARGET {target:g}: {residual_over}, "
         f"of which within it at the parent: {residual_new}",
+        f"polygons: {len(ga)}, identical records: {sum(p == q for p, q in zip(ga, gb))}",
+        "polygon fields that differ: "
+        + (", ".join(f"{f} {n}" for f, n in differs.items() if n) or "none"),
         "gate " + ("holds" if ok else "FAILED"),
     ]
 
