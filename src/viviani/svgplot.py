@@ -51,7 +51,7 @@ def render_svg(doc: ConfigDocument) -> str:
 
     # the viewport, and every world point drawn, in units of u
     u, lo, hi = _unit_box(content)
-    world = content / u
+    world = content if u == 1.0 else content / u
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     if span <= 0.0:
         span = 2.0
@@ -106,11 +106,10 @@ def render_svg(doc: ConfigDocument) -> str:
             )
             emit_arrow(anchor, normal)
     elif doc.polygon is not None:
-        verts = world
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_screen(v) for v in verts))
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_screen(v) for v in world))
         parts.append(f'<polygon points="{pts}" {_STYLE_EDGE}/>')
         normals = polygon_to_hyperplanes(doc.polygon).normals
-        for mid_w, normal in zip((verts + _next_rows(verts)) / 2.0, normals):
+        for mid_w, normal in zip((world + _next_rows(world)) / 2.0, normals):
             emit_arrow(mid_w, normal)
     else:
         for row in world:
