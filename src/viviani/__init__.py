@@ -21,21 +21,16 @@ from .errors import (
     SpokeViolation,
     UnknownSolid,
     VivianiError,
-    ZeroNormal,
 )
 from .geometry import (
     DEFAULT_TOL,
     HyperplaneSet,
-    OrientedHyperplane,
     as_vector,
     is_viviani,
     level_set_direction,
-    make_hyperplane_from_anchor,
     normal_sum,
-    signed_distance,
     viviani_defect,
     viviani_gradient,
-    viviani_value,
     viviani_values,
 )
 from .polytope import (
@@ -64,7 +59,6 @@ from .fermat import (
 )
 from .duality import (
     fermat_to_viviani,
-    project_onto,
     spoke_points_median_check,
     viviani_to_fermat,
 )

@@ -33,7 +33,6 @@ from .geometry import (
     is_viviani,
     viviani_defect,
     viviani_gradient,
-    viviani_value,
     viviani_values,
 )
 from .polytope import (
@@ -157,7 +156,7 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_value(args, out) -> int:
     S = _planes_of(_load(args.file))
-    v = viviani_value(as_vector(args.point), S)
+    v = float(viviani_values(as_vector(args.point, dim=S.dimension)[None, :], S)[0])
     print(f"v={v!r}", file=out)
     return EXIT_OK
 

@@ -24,13 +24,11 @@ from .errors import (
 from .fermat import ANCHOR_ETA, PointSet, _norm, _seen_from, geometric_median
 from .geometry import (
     HyperplaneSet,
-    OrientedHyperplane,
     _directions,
     _lengths,
     _row_dots,
     as_vector,
     is_viviani,
-    signed_distance,
 )
 from .polytope import ConvexPolygon
 
@@ -41,18 +39,6 @@ FERMAT_CERT_FACTOR = 1e-6
 #: One-sidedness allows signed distances ``c - n.P`` to cross zero by this
 #: much relative to the magnitudes ``|c| + |n|.|P|`` of their operands.
 ONE_SIDED_SLACK = 1e-12
-
-
-def project_onto(P, p: OrientedHyperplane) -> np.ndarray:
-    """Orthogonal projection of ``P`` onto the plane ``p``.
-
-    The displacement is ``signed_distance(P, p)`` along the normal, so its
-    length is exactly the unsigned distance.
-    """
-    x = as_vector(P, dim=p.dimension)
-    out = x + signed_distance(x, p) * p.normal
-    out.flags.writeable = False
-    return out
 
 
 def fermat_to_viviani(A, P) -> HyperplaneSet:

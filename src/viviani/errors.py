@@ -16,10 +16,6 @@ class DimensionMismatch(VivianiError):
     """Operands live in different ambient dimensions."""
 
 
-class ZeroNormal(VivianiError):
-    """The zero vector has no direction to normalize."""
-
-
 class NonUnitNormal(VivianiError):
     """A stored hyperplane normal must be unit length to within 1e-9."""
 

@@ -19,8 +19,10 @@ along the normal-sum direction.
 
 A :class:`HyperplaneSet` stores such a multiset as arrays: a (k, n) array
 of unit normals and a (k,) array of offsets, both read-only, validated in
-one vectorised pass.  :class:`OrientedHyperplane` is the single-plane type;
-indexing or iterating a set yields one per row.
+one vectorised pass by :meth:`HyperplaneSet.from_arrays`, its only
+constructor.  There is no validated single-plane type: one plane is a set
+of one row, the functions here take whole sets and whole arrays of
+points, and iterating a set yields plain ``(normal, offset)`` rows.
 
 Tolerances follow one rule.  Point-space tolerances (coincidence,
 one-sidedness, degeneracy) scale with the magnitude of their operands, so
@@ -39,12 +41,11 @@ every finite input keeps its differences finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitNormal, VivianiError, ZeroNormal
+from .errors import DimensionMismatch, NonUnitNormal, VivianiError
 
 #: Absolute tolerance on the defect below which a set counts as Viviani.
 #: The defect is a sum of at most k unit vectors, so an absolute threshold
@@ -71,36 +72,12 @@ def as_vector(coords, dim: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class OrientedHyperplane:
-    """Hyperplane ``{x : normal.x = offset}`` with a unit normal.
-
-    The constructor rejects normals whose length deviates from 1 by more
-    than 1e-9; use :func:`make_hyperplane_from_anchor` when you hold an
-    unnormalized direction.
-    """
+class Plane(NamedTuple):
+    """One row of a :class:`HyperplaneSet`, as iterating the set yields it:
+    ``normal`` is a row of ``normals``, ``offset`` the matching offset."""
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        n = as_vector(self.normal)
-        if abs(float(np.linalg.norm(n)) - 1.0) > _UNIT_SLACK:
-            raise NonUnitNormal(
-                f"normal has length {np.linalg.norm(n)!r}, expected 1 within {_UNIT_SLACK}"
-            )
-        c = float(self.offset)
-        if not np.isfinite(c):
-            raise VivianiError("offset must be finite")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", c)
-
-    @property
-    def dimension(self) -> int:
-        return self.normal.size
-
-    def __repr__(self) -> str:
-        return f"OrientedHyperplane(normal={self.normal.tolist()}, offset={self.offset})"
 
 
 class HyperplaneSet:
@@ -108,35 +85,13 @@ class HyperplaneSet:
 
     Stored as two arrays: ``normals`` (k, n), one unit normal per row, and
     ``offsets`` (k,).  Both attributes are the stored arrays themselves, not
-    copies, and are read-only; copy them before modifying.  :meth:`from_arrays`
-    validates whole arrays in one pass; the constructor takes
-    :class:`OrientedHyperplane` objects.  Indexing or iterating yields one
-    :class:`OrientedHyperplane` per row, from the ``planes`` tuple, which is
-    built on first use.
+    copies, and are read-only; copy them before modifying.  Build a set
+    with :meth:`from_arrays`, which validates whole arrays in one pass.
+    Iterating yields one :class:`Plane` per row.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
-
-    def __init__(self, planes):
-        planes = tuple(planes)
-        if not planes:
-            raise VivianiError("a hyperplane set must contain at least one plane")
-        dim = planes[0].dimension
-        for p in planes:
-            if p.dimension != dim:
-                raise DimensionMismatch(
-                    f"mixed dimensions in hyperplane set: {dim} and {p.dimension}"
-                )
-        self._store(np.array([p.normal for p in planes]),
-                    np.array([p.offset for p in planes]), planes)
-
-    def _store(self, normals, offsets, planes=None):
-        normals.flags.writeable = False
-        offsets.flags.writeable = False
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_planes", planes)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperplaneSet is immutable; cannot set {name!r}")
@@ -145,10 +100,10 @@ class HyperplaneSet:
     def from_arrays(cls, normals, offsets) -> "HyperplaneSet":
         """Set with the rows of ``normals`` and the entries of ``offsets``.
 
-        Both are copied.  A row that :class:`OrientedHyperplane` would
-        reject raises the same error it does, for the first such row: every
-        row the vectorised screen flags is handed to that constructor in
-        row order.
+        Both are copied.  The first bad row raises: a NaN or infinite
+        normal coordinate :class:`VivianiError`, a normal whose length is
+        not 1 within 1e-9 :class:`NonUnitNormal`, an infinite or NaN offset
+        :class:`VivianiError`, checked in that order.
         """
         return cls._own(np.array(normals, dtype=float), np.array(offsets, dtype=float))
 
@@ -163,19 +118,13 @@ class HyperplaneSet:
             raise VivianiError("a hyperplane set must contain at least one plane")
         ok = (_unit_deviation(normals) <= _UNIT_SLACK) & np.isfinite(offsets)
         for i in np.flatnonzero(~ok):
-            OrientedHyperplane(normals[i], offsets[i])  # raises for a bad row
+            _check_row(normals[i], offsets[i])
+        normals.flags.writeable = False
+        offsets.flags.writeable = False
         S = object.__new__(cls)
-        S._store(normals, offsets)
+        object.__setattr__(S, "normals", normals)
+        object.__setattr__(S, "offsets", offsets)
         return S
-
-    @property
-    def planes(self) -> tuple[OrientedHyperplane, ...]:
-        """The rows as :class:`OrientedHyperplane` objects, built once."""
-        if self._planes is None:
-            object.__setattr__(self, "_planes", tuple(
-                OrientedHyperplane(n, c) for n, c in zip(self.normals, self.offsets.tolist())
-            ))
-        return self._planes
 
     @property
     def dimension(self) -> int:
@@ -184,15 +133,22 @@ class HyperplaneSet:
     def __len__(self) -> int:
         return self.normals.shape[0]
 
-    def __iter__(self) -> Iterator[OrientedHyperplane]:
-        return iter(self.planes)
-
-    def __getitem__(self, i) -> OrientedHyperplane:
-        return self.planes[i]
+    def __iter__(self) -> Iterator[Plane]:
+        return map(Plane, self.normals, self.offsets.tolist())
 
     def __repr__(self) -> str:
         return (f"HyperplaneSet.from_arrays({self.normals.tolist()}, "
                 f"{self.offsets.tolist()})")
+
+
+def _check_row(normal: np.ndarray, offset: float) -> None:
+    """Raise for a row that :meth:`HyperplaneSet.from_arrays` refuses; the
+    whole-array screen hands it every row it flags, in row order."""
+    length = np.linalg.norm(as_vector(normal))
+    if abs(float(length) - 1.0) > _UNIT_SLACK:
+        raise NonUnitNormal(f"normal has length {length!r}, expected 1 within {_UNIT_SLACK}")
+    if not math.isfinite(offset):
+        raise VivianiError("offset must be finite")
 
 
 def _scale_unit(length: float) -> float:
@@ -265,40 +221,10 @@ def _unit_deviation(normals: np.ndarray) -> np.ndarray:
     return np.abs(np.sqrt(_row_dots(normals, normals)) - 1.0)
 
 
-def make_hyperplane_from_anchor(normal_raw, anchor) -> OrientedHyperplane:
-    """Hyperplane through ``anchor`` oriented along ``normal_raw``.
-
-    The direction is normalized at any scale by :func:`_directions`, so
-    ``(1e-300, 0)`` and ``(1e300, 1e300)`` give unit normals.  The offset is
-    fixed so the anchor lies on the plane.  Raises :class:`ZeroNormal` for the zero vector and
-    :class:`DimensionMismatch` when the two vectors disagree.
-    """
-    d = as_vector(normal_raw)
-    a = as_vector(anchor, dim=d.size)
-    if not d.any():
-        raise ZeroNormal("direction is the zero vector")
-    n = _directions(d[None, :])[0]
-    return OrientedHyperplane(n, float(n @ a))
-
-
-def signed_distance(P, p: OrientedHyperplane) -> float:
-    """Signed distance from point ``P`` to plane ``p`` (``offset - normal.P``).
-
-    Negative exactly when the normal points into the open half-space
-    containing ``P``; the absolute value is the Euclidean distance.
-    """
-    x = as_vector(P, dim=p.dimension)
-    return float(p.offset - p.normal @ x)
-
-
-def viviani_value(P, S: HyperplaneSet) -> float:
-    """Sum of signed distances from ``P`` to every plane of ``S``."""
-    x = as_vector(P, dim=S.dimension)
-    return float(np.sum(S.offsets - S.normals @ x))
-
-
 def viviani_values(points, S: HyperplaneSet) -> np.ndarray:
-    """Vectorized :func:`viviani_value` over the rows of ``points``."""
+    """The value v at each row of ``points``: the sum of the signed
+    distances ``offsets - normals @ x`` from that row to every plane of
+    ``S``.  For one point ``x``, ``viviani_values(x[None, :], S)[0]``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != S.dimension:
         raise DimensionMismatch(

@@ -380,8 +380,7 @@ class ConvexPolytopeH:
     def __post_init__(self):
         hs = self.halfspaces
         if not isinstance(hs, HyperplaneSet):
-            hs = HyperplaneSet(tuple(hs))
-            object.__setattr__(self, "halfspaces", hs)
+            raise VivianiError(f"halfspaces must be a HyperplaneSet, got {type(hs).__name__}")
         N, c = hs.normals, hs.offsets
         x0 = np.linalg.lstsq(N, c, rcond=None)[0]
         b = c - N @ x0

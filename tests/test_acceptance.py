@@ -30,13 +30,12 @@ from viviani import (
     platonic_solid_normals,
     polygon_to_hyperplanes,
     regular_polygon,
-    signed_distance,
     tetrahedron_family,
     total_distance,
     unsigned_distance_sum,
     viviani_defect,
     viviani_to_fermat,
-    viviani_value,
+    viviani_values,
 )
 from viviani.cli import run_cli
 from viviani.geometry import HyperplaneSet
@@ -82,9 +81,9 @@ def test_constant_value_iff_normals_cancel():
         k = int(rng.integers(2, 11))
         S = random_viviani_set(rng, n, k, target=1e-12)
         pts = affinely_independent_points(rng, n)
-        vals = [viviani_value(p, S) for p in pts]
-        spread = max(vals) - min(vals)
-        assert spread <= 1e-9 * (1.0 + max(abs(v) for v in vals))
+        vals = viviani_values(pts, S)
+        spread = vals.max() - vals.min()
+        assert spread <= 1e-9 * (1.0 + np.abs(vals).max())
     report(1, "constant value on repaired zero-sum sets")
 
 
@@ -100,7 +99,8 @@ def test_unit_step_changes_value_by_minus_defect():
             continue
         u = level_set_direction(S)
         P = rng.uniform(-2.0, 2.0, size=n)
-        drop = viviani_value(P + u, S) - viviani_value(P, S)
+        v_after, v_before = viviani_values(np.array([P + u, P]), S)
+        drop = v_after - v_before
         assert abs(drop + delta) <= 1e-10
         checked += 1
     report(2, "unit step along the gradient drops v by the defect")
@@ -220,12 +220,12 @@ def test_regular_polygon_distance_sums():
         interior = exterior = 0
         while interior < 20:
             x = center + rng.uniform(-R, R, size=2)
-            if all(signed_distance(x, p) > 1e-9 for p in S):
+            if np.all(S.offsets - S.normals @ x > 1e-9):
                 assert abs(unsigned_distance_sum(x, S) - constant) <= 1e-9
                 interior += 1
         while exterior < 20:
             x = center + rng.uniform(-4 * R, 4 * R, size=2)
-            if min(signed_distance(x, p) for p in S) < -1e-3 * R:
+            if np.min(S.offsets - S.normals @ x) < -1e-3 * R:
                 assert unsigned_distance_sum(x, S) > constant
                 exterior += 1
     report(11, "interior unsigned sums are k*apothem; exterior sums exceed it")
@@ -254,16 +254,18 @@ def test_derived_constants():
         [1, 0, 1, 0, 1, 0],
     )
     for _ in range(10):
-        assert abs(viviani_value(rng.uniform(-3, 3, size=3), cube) - 3.0) <= 1e-9
+        v = viviani_values(rng.uniform(-3, 3, size=(1, 3)), cube)[0]
+        assert abs(v - 3.0) <= 1e-9
 
     tri = polygon_to_hyperplanes(ConvexPolygon(equilateral_triangle(2.0)))
     for _ in range(10):
-        v = viviani_value(rng.uniform(-3, 3, size=2), tri)
+        v = viviani_values(rng.uniform(-3, 3, size=(1, 2)), tri)[0]
         assert abs(v - math.sqrt(3.0)) <= 1e-9
 
     family = tetrahedron_family(1.0)  # all four offsets are 1
     for _ in range(10):
-        assert abs(viviani_value(rng.uniform(-3, 3, size=3), family) - 4.0) <= 1e-9
+        v = viviani_values(rng.uniform(-3, 3, size=(1, 3)), family)[0]
+        assert abs(v - 4.0) <= 1e-9
     report(13, "derived constants: cube 3, side-2 triangle sqrt(3), family 4")
 
 

@@ -69,10 +69,8 @@ def doc_equal(a, b) -> bool:
     if a.dimension != b.dimension or a.kind != b.kind or a.metadata != b.metadata:
         return False
     if a.kind == "planes":
-        return all(
-            p.normal.tolist() == q.normal.tolist() and p.offset == q.offset
-            for p, q in zip(a.planes, b.planes)
-        )
+        return (a.planes.normals.tolist() == b.planes.normals.tolist()
+                and a.planes.offsets.tolist() == b.planes.offsets.tolist())
     if a.kind == "polygon":
         return a.polygon.vertices.tolist() == b.polygon.vertices.tolist()
     return a.points.tolist() == b.points.tolist()
@@ -82,8 +80,8 @@ class TestParse:
     def test_minimal_planes_doc(self):
         doc = parse_document('{"dimension":2,"planes":[{"normal":[1,0],"offset":1}]}')
         assert doc.kind == "planes"
-        assert doc.planes[0].normal.tolist() == [1.0, 0.0]
-        assert doc.planes[0].offset == 1.0
+        assert doc.planes.normals.tolist() == [[1.0, 0.0]]
+        assert doc.planes.offsets.tolist() == [1.0]
 
     def test_norm_tolerance_rejected(self):
         with pytest.raises(NormTolerance):
@@ -95,13 +93,13 @@ class TestParse:
         )
         with pytest.warns(NormalizationWarning):
             doc = parse_document(text)
-        assert abs(np.linalg.norm(doc.planes[0].normal) - 1.0) <= 1e-15
+        assert abs(np.linalg.norm(doc.planes.normals[0]) - 1.0) <= 1e-15
 
     def test_within_1e9_kept_verbatim(self):
         value = 1.0 + 2e-10
         text = json.dumps({"dimension": 2, "planes": [{"normal": [value, 0.0], "offset": 0.0}]})
         doc = parse_document(text)
-        assert doc.planes[0].normal[0] == value
+        assert doc.planes.normals[0, 0] == value
 
     def test_two_payloads_rejected(self):
         with pytest.raises(SchemaError):

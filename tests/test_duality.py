@@ -10,26 +10,22 @@ from viviani import (
     MixedSigns,
     NotAFermatPoint,
     NotViviani,
-    OrientedHyperplane,
     SpokeViolation,
     VivianiError,
     fermat_to_viviani,
     geometric_median,
     is_viviani,
-    make_hyperplane_from_anchor,
     polygon_to_hyperplanes,
-    project_onto,
     regular_polygon,
-    signed_distance,
     spoke_points_median_check,
     total_distance,
     viviani_defect,
     viviani_to_fermat,
-    viviani_value,
+    viviani_values,
 )
 from viviani.polytope import ConvexPolygon
 
-from helpers import equilateral_triangle
+from helpers import equilateral_triangle, random_viviani_set
 
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -43,48 +39,15 @@ def interior_instance(rng, k, n):
             return pts, res
 
 
-class TestProjectOnto:
-    def test_axis_plane(self):
-        p = OrientedHyperplane(np.array([1.0, 0.0]), 1.0)
-        assert project_onto((3, 0), p).tolist() == [1.0, 0.0]
-
-    def test_point_on_plane(self):
-        p = OrientedHyperplane(np.array([1.0, 0.0]), 1.0)
-        assert project_onto((1, 7), p).tolist() == [1.0, 7.0]
-
-    def test_tilted_plane(self):
-        p = OrientedHyperplane(np.array([3 / 5, 4 / 5]), 2.0)
-        foot = project_onto((0, 0), p)
-        assert foot == pytest.approx([6 / 5, 8 / 5], abs=1e-12)
-        assert abs(signed_distance(foot, p)) <= 1e-12
-
-    def test_projection_contract(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            p = make_hyperplane_from_anchor(rng.normal(size=n), rng.uniform(-3, 3, size=n))
-            x = rng.uniform(-5, 5, size=n)
-            foot = project_onto(x, p)
-            d = signed_distance(x, p)
-            assert abs(signed_distance(foot, p)) <= 1e-12 * (1 + abs(p.offset))
-            assert np.linalg.norm(foot - x) == pytest.approx(abs(d), abs=1e-12)
-            # displacement parallel to the normal
-            disp = foot - x
-            assert np.linalg.norm(disp - (disp @ p.normal) * p.normal) <= 1e-12
-
-
 class TestFermatToViviani:
     def test_square_corners(self):
         S = fermat_to_viviani(SQUARE, (0.0, 0.0))
         assert len(S) == 4
         assert is_viviani(S, 4e-6)
         r = math.sqrt(2.0)
-        dists = [signed_distance((0.0, 0.0), p) for p in S]
-        assert dists == pytest.approx([r] * 4, abs=1e-12)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x = rng.uniform(-3, 3, size=2)
-            assert viviani_value(x, S) == pytest.approx(4 * r, abs=1e-9)
+        assert S.offsets - S.normals @ (0.0, 0.0) == pytest.approx([r] * 4, abs=1e-12)
+        x = np.random.default_rng(1).uniform(-3, 3, size=(10, 2))
+        assert viviani_values(x, S) == pytest.approx(np.full(10, 4 * r), abs=1e-9)
 
     def test_triangle_centroid(self):
         tri = equilateral_triangle(2.0)
@@ -92,8 +55,8 @@ class TestFermatToViviani:
         S = fermat_to_viviani(tri, center)
         assert viviani_defect(S) <= 3e-6
         # planes pass through the original points
-        for p, pt in zip(S, tri):
-            assert abs(signed_distance(pt, p)) <= 1e-12 * (1 + abs(p.offset))
+        through = S.offsets - np.sum(S.normals * tri, axis=1)
+        assert np.all(np.abs(through) <= 1e-12 * (1 + np.abs(S.offsets)))
 
     def test_rejects_anchor(self):
         with pytest.raises(CoincidesWithAnchor):
@@ -119,6 +82,25 @@ class TestVivianiToFermat:
             assert feet.k == 3
             res = geometric_median(feet)
             assert np.linalg.norm(res.point - P) <= 1e-6
+
+    def test_feet_are_projections(self):
+        # Each foot lies on its plane, at the signed distance from P along
+        # that plane's normal.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            N = random_viviani_set(rng, n, k).normals
+            P = rng.uniform(-5, 5, size=n)
+            d = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0, size=k)
+            S = HyperplaneSet.from_arrays(N, N @ P + d)
+            d = S.offsets - N @ P
+            feet = viviani_to_fermat(S, P).points
+            on = S.offsets - np.sum(S.normals * feet, axis=1)
+            assert np.all(np.abs(on) <= 1e-12 * (1 + np.abs(S.offsets)))
+            disp = feet - P
+            assert np.linalg.norm(disp, axis=1) == pytest.approx(np.abs(d), abs=1e-12)
+            along = np.sum(disp * S.normals, axis=1)
+            assert np.abs(disp - along[:, None] * S.normals).max() <= 1e-12
 
     def test_pentagon_centroid(self):
         pent = regular_polygon(5)
@@ -160,21 +142,20 @@ class TestVivianiToFermat:
         w = rng.dirichlet(np.ones(3))
         P = w @ tri
         feet = viviani_to_fermat(S, P)
-        assert viviani_value(P, S) == pytest.approx(total_distance(P, feet), abs=1e-12)
+        assert viviani_values(P[None, :], S)[0] == pytest.approx(total_distance(P, feet),
+                                                               abs=1e-12)
 
     def test_all_negative_side_accepted(self):
         # flipping every normal flips all signed distances; an interior point
         # becomes one-sided negative and the identity gains a minus sign
         S = self.triangle_set()
-        flipped = HyperplaneSet(
-            tuple(OrientedHyperplane(-p.normal, -p.offset) for p in S)
-        )
+        flipped = HyperplaneSet.from_arrays(-S.normals, -S.offsets)
         tri = equilateral_triangle(2.0)
         P = tri.mean(axis=0)
         feet = viviani_to_fermat(flipped, P)
         res = geometric_median(feet)
         assert np.linalg.norm(res.point - P) <= 1e-6
-        assert viviani_value(P, flipped) == pytest.approx(
+        assert viviani_values(P[None, :], flipped)[0] == pytest.approx(
             -total_distance(P, feet), abs=1e-12
         )
 

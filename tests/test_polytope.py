@@ -26,16 +26,15 @@ from viviani import (
     classify_triangle,
     is_viviani_polygon,
     make_equiangular_polygon,
-    make_hyperplane_from_anchor,
     platonic_solid_normals,
     polygon_to_hyperplanes,
     regular_polygon,
-    signed_distance,
     tetrahedron_family,
     unsigned_distance_sum,
     viviani_defect,
-    viviani_value,
+    viviani_values,
 )
+from viviani.geometry import _directions
 
 from helpers import (
     closing_equiangular_sides,
@@ -53,7 +52,7 @@ class TestConvexPolygon:
         cw = ConvexPolygon(np.array([[0.0, 0], [0, 1], [1, 1], [1, 0]]))
         centroid = np.array([0.5, 0.5])
         for S in (polygon_to_hyperplanes(ccw), polygon_to_hyperplanes(cw)):
-            assert all(signed_distance(centroid, p) > 0 for p in S)
+            assert np.all(S.offsets - S.normals @ centroid > 0)
 
     def test_rejects_nonconvex(self):
         dart = np.array([[0.0, 0], [4, 0], [1, 1], [0, 4]])
@@ -93,9 +92,8 @@ class TestPolygonToHyperplanes:
     def test_right_triangle_hypotenuse(self):
         tri = ConvexPolygon(np.array([[0.0, 0], [4, 0], [0, 3]]))
         S = polygon_to_hyperplanes(tri)
-        hyp = S[1]
-        assert hyp.normal == pytest.approx([3 / 5, 4 / 5], abs=1e-15)
-        assert hyp.offset == pytest.approx(12 / 5, abs=1e-15)
+        assert S.normals[1] == pytest.approx([3 / 5, 4 / 5], abs=1e-15)
+        assert S.offsets[1] == pytest.approx(12 / 5, abs=1e-15)
 
     def test_outward_orientation(self):
         rng = np.random.default_rng(0)
@@ -103,21 +101,22 @@ class TestPolygonToHyperplanes:
             poly = random_convex_quadrilateral(rng)
             S = polygon_to_hyperplanes(poly)
             centroid = poly.vertices.mean(axis=0)
-            assert all(signed_distance(centroid, p) > 0 for p in S)
+            assert np.all(S.offsets - S.normals @ centroid > 0)
 
     def test_edges_lie_on_their_planes(self):
         rng = np.random.default_rng(1)
         poly = random_triangle(rng)
         S = polygon_to_hyperplanes(poly)
         v = poly.vertices
-        for i, p in enumerate(S):
-            for vertex in (v[i], v[(i + 1) % 3]):
-                assert abs(signed_distance(vertex, p)) <= 1e-12 * (1 + abs(p.offset))
+        for vertex in (v, np.roll(v, -1, axis=0)):  # each edge's two endpoints
+            on = S.offsets - np.sum(S.normals * vertex, axis=1)
+            assert np.all(np.abs(on) <= 1e-12 * (1 + np.abs(S.offsets)))
 
 
     def test_matches_one_plane_per_edge_bit_for_bit(self):
-        # The vectorised build against one make_hyperplane_from_anchor call
-        # per edge, the per-plane construction it replaced.
+        # The vectorised build against one plane per edge, built as the
+        # per-plane construction it replaced built it: the direction
+        # normalised on its own, the offset its dot with the first vertex.
         rng = np.random.default_rng(12)
         for _ in range(100):
             k = int(rng.integers(3, 16))
@@ -125,13 +124,11 @@ class TestPolygonToHyperplanes:
             poly = regular_polygon(k, R, center=rng.normal(size=2) * R * 10.0 ** rng.uniform(-1, 3),
                                    phase=rng.uniform(0.0, 2.0 * np.pi))
             v = poly.vertices
-            want = [
-                make_hyperplane_from_anchor((d[1], -d[0]), v[i])
-                for i, d in enumerate(np.roll(v, -1, axis=0) - v)
-            ]
+            normals = [_directions(np.array([[d[1], -d[0]]]))[0]
+                       for d in np.roll(v, -1, axis=0) - v]
             S = polygon_to_hyperplanes(poly)
-            assert S.normals.tolist() == [p.normal.tolist() for p in want]
-            assert S.offsets.tolist() == [p.offset for p in want]
+            assert S.normals.tolist() == [n.tolist() for n in normals]
+            assert S.offsets.tolist() == [float(n @ v[i]) for i, n in enumerate(normals)]
 
     def test_short_edges_are_judged_relative_to_the_diameter(self):
         # A hexagon of circumradius 1e-12 is a valid polygon; its edge
@@ -309,8 +306,8 @@ class TestTetrahedronFamily:
     def test_constant_value_is_four(self):
         S = tetrahedron_family(1.0)
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            assert viviani_value(rng.uniform(-2, 2, size=3), S) == pytest.approx(4.0, abs=1e-12)
+        x = rng.uniform(-2, 2, size=(10, 3))
+        assert viviani_values(x, S) == pytest.approx(np.full(10, 4.0), abs=1e-12)
 
 
 class TestUnsignedSum:
@@ -323,7 +320,7 @@ class TestUnsignedSum:
         hits = 0
         while hits < 5:
             x = rng.uniform(-R, R, size=2)
-            if all(signed_distance(x, p) > 1e-6 for p in S):
+            if np.all(S.offsets - S.normals @ x > 1e-6):
                 assert unsigned_distance_sum(x, S) == pytest.approx(expected, abs=1e-12)
                 hits += 1
 
@@ -335,7 +332,7 @@ class TestUnsignedSum:
         hits = 0
         while hits < 5:
             x = rng.uniform(-3 * R, 3 * R, size=2)
-            if min(signed_distance(x, p) for p in S) < -1e-3:
+            if np.min(S.offsets - S.normals @ x) < -1e-3:
                 assert unsigned_distance_sum(x, S) > expected
                 hits += 1
 
@@ -346,7 +343,7 @@ class TestUnsignedSum:
         w = rng.dirichlet(np.ones(4))
         interior = w @ poly.vertices
         assert unsigned_distance_sum(interior, S) == pytest.approx(
-            viviani_value(interior, S), abs=1e-12
+            viviani_values(interior[None, :], S)[0], abs=1e-12
         )
 
 
@@ -358,7 +355,13 @@ class TestPolytopeH:
     def test_cube_accepted(self):
         poly = ConvexPolytopeH(self.cube_set())
         x = poly.interior_point()
-        assert all(signed_distance(x, p) > 0 for p in poly.halfspaces)
+        assert np.all(poly.halfspaces.offsets - poly.halfspaces.normals @ x > 0)
+
+    def test_only_a_hyperplane_set_is_accepted(self):
+        S = self.cube_set()
+        for rows in (list(S), tuple(S), (S.normals, S.offsets)):
+            with pytest.raises(VivianiError, match="must be a HyperplaneSet"):
+                ConvexPolytopeH(rows)
 
     def test_unbounded_rejected(self):
         normals = np.vstack([np.eye(3), -np.eye(3)])[:5]  # open on one side
@@ -473,5 +476,5 @@ class TestRegularPolygon:
         k, R = 9, 1.0
         S = polygon_to_hyperplanes(regular_polygon(k, R))
         center = np.zeros(2)
-        for p in S:
-            assert signed_distance(center, p) == pytest.approx(apothem(k, R), abs=1e-12)
+        assert S.offsets - S.normals @ center == pytest.approx(np.full(k, apothem(k, R)),
+                                                               abs=1e-12)
