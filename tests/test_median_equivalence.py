@@ -32,3 +32,13 @@ def test_replay_of_one_tree_against_itself_finds_no_polygon_difference():
     polygons, identical = (int(x.split(": ")[1]) for x in count.split(", "))
     assert polygons > 3000 and identical == polygons
     assert "polygon fields that differ: none" in lines
+
+
+def test_replay_of_one_tree_against_itself_finds_no_command_difference():
+    proc = replay_against_itself()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    count = next(x for x in lines if x.startswith("commands: "))
+    commands, identical = (int(x.split(": ")[1]) for x in count.split(", "))
+    assert commands > 400 and identical == commands
+    assert "command fields that differ: none" in lines

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Replay the same median solves and polygons on two source trees and diff
-the answers.
+"""Replay the same median solves, polygons and CLI commands on two source
+trees and diff the answers.
 
     python3 tools/median_equivalence.py <parent-tree> <change-tree>
 
@@ -21,26 +21,37 @@ equiangular polygons with k = 3-11 closing sides scaled by 10^-5 to 10^5,
 and random convex polygons with k = 3-9 vertices on an ellipse, scaled the
 same way and moved.
 
+And it runs the command line in process, through ``viviani.cli.run_cli``:
+the help texts, then every command (``check``, ``value``, ``median``,
+``dualize``, ``project``, ``sample`` and ``plot``, some with options) on
+each document of the tree's ``fixtures/`` and on each document that
+``generate`` writes for the ``GENERATED`` arguments, and then on every
+document that ``dualize`` or ``project`` wrote in that first pass.
+
 Every solve records its status, anchor index, iterations, objective,
 residual and point.  Every polygon records its vertices, normals, offsets,
 side lengths, diameter, classifier and Viviani verdicts and the bytes of
-its SVG (or the error its construction raised).  The trees must have built
-byte-identical inputs.  The diff prints the counts and the worst case of
+its SVG (or the error its construction raised).  Every command records its
+exit code, its stdout, its stderr and the bytes of the SVG it wrote.  The
+trees must have built byte-identical inputs.  The diff prints the counts and the worst case of
 each field, and exits 1 when the change tree fails the gate: a status or an
 anchor index differs, an objective moves by more than 1e-15 relative, a
 solve takes more iterations, an interior residual exceeds the tree's
-``RESIDUAL_TARGET`` where the parent's did not, or a polygon's verdicts or
-construction error differ.
+``RESIDUAL_TARGET`` where the parent's did not, a polygon's verdicts or
+construction error differ, or a command exits with another code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: (workload, seed, rounds) replayed from ``perfbench/workloads.py``.
@@ -57,6 +68,17 @@ RANDOM_POLYGONS = 1000
 POLYGON_FIELDS = ("error", "vertices", "normals", "offsets", "side_lengths",
                   "diameter", "classifier", "viviani", "svg")
 VERDICTS = ("error", "classifier", "viviani")
+#: ``viviani generate`` arguments whose documents the CLI replay runs on.
+GENERATED = [
+    *(["equiangular", "--sides", s] for s in ("1,1,1", "2,1,2,1", "1,2,3,1,2,3", "1,1,1,1,1")),
+    *(["platonic", name] for name in ("tetrahedron", "cube", "octahedron",
+                                      "dodecahedron", "icosahedron")),
+    *(["example5", "--t", t] for t in ("0.5", "1.0", "2.5")),
+]
+#: The ``--point`` arguments of each dimension; the first is also ``--at``.
+POINTS = {2: ("0.5,0.5", "0.2,-0.1"), 3: ("0.5,0.5,0.5", "0.05,0.1,-0.05")}
+#: What each command records; the gate holds only if the exit codes agree.
+CLI_FIELDS = ("exit", "stdout", "stderr", "svg")
 
 
 def _extra_sets():
@@ -124,6 +146,68 @@ def _polygon_record(viviani, kind, data) -> dict:
     return rec
 
 
+def _cli_records(tree: Path) -> list[dict]:
+    """Run the CLI replay with the tree's ``run_cli``, in a scratch
+    directory whose path each record spells ``{tmp}``."""
+    from viviani.cli import run_cli
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(argv, label):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run_cli(argv)
+                except SystemExit as exc:  # argparse: help texts and usage errors
+                    code = exc.code
+            rec = {"label": f"cli/{argv[0]}", "input": label, "exit": code,
+                   "stdout": out.getvalue(), "stderr": err.getvalue().replace(tmp, "{tmp}")}
+            records.append(rec)
+            return rec
+
+        for argv in ([], ["check"], ["value"], ["median"], ["dualize"], ["project"],
+                     ["generate"], ["generate", "equiangular"], ["generate", "platonic"],
+                     ["generate", "example5"], ["sample"], ["plot"]):
+            run([*argv, "--help"], " ".join([*argv, "--help"]))
+        docs = []
+        for path in sorted((tree / "fixtures").glob("*.json")):
+            digest = hashlib.sha1(path.read_bytes()).hexdigest()[:12]
+            docs.append((str(path), f"fixtures/{path.name}@{digest}"))
+        for i, args in enumerate(GENERATED):
+            rec = run(["generate", *args], " ".join(["generate", *args]))
+            path = os.path.join(tmp, f"generated-{i}.json")
+            with open(path, "w") as fh:
+                fh.write(rec["stdout"])
+            docs.append((path, f"{{generate {' '.join(args)}}}"))
+        for level in range(2):
+            written = []
+            for path, name in docs:
+                with open(path) as fh:
+                    points = POINTS[json.load(fh)["dimension"]]
+                svg = os.path.join(tmp, "plot.svg")
+                for argv in (["check"], ["check", "--tol", "1e-3"],
+                             *(["value", "--point", p] for p in points),
+                             ["median"], ["median", "--tol", "1e-6"],
+                             ["dualize"], ["dualize", "--at", points[0]],
+                             *(["project", "--point", p] for p in points),
+                             ["sample", "--count", "100", "--seed", "7"],
+                             ["sample", "--count", "10", "--seed", "1", "--box=-5,5"],
+                             ["plot", "--out", svg]):
+                    argv = [argv[0], path, *argv[1:]]
+                    rec = run(argv, " ".join(argv).replace(path, name).replace(tmp, "{tmp}"))
+                    if argv[0] == "plot" and rec["exit"] == 0:
+                        with open(svg, "rb") as fh:
+                            rec["svg"] = hashlib.sha1(fh.read()).hexdigest()
+                        os.remove(svg)
+                    if argv[0] in ("dualize", "project") and rec["exit"] == 0:
+                        out = os.path.join(tmp, f"written-{level}-{len(written)}.json")
+                        with open(out, "w") as fh:
+                            fh.write(rec["stdout"])
+                        written.append((out, f"{{{rec['input']}}}"))
+            docs = written
+    return records
+
+
 class _Recorder:
     """The benchmark's tracer interface: runs every call, and hands the
     arguments and result of each median solve to ``record``."""
@@ -179,7 +263,7 @@ def capture(tree: Path) -> dict:
         record(label, pts, fermat.geometric_median(pts))
     polygons = [_polygon_record(viviani, kind, data) for kind, data in _polygons()]
     return {"residual_target": fermat.RESIDUAL_TARGET, "records": records,
-            "polygons": polygons}
+            "polygons": polygons, "cli": _cli_records(tree)}
 
 
 def _run_capture(tree: Path) -> dict:
@@ -196,8 +280,9 @@ def compare(parent: dict, change: dict) -> list[str]:
     """Lines of the report; the last one says whether the gate holds."""
     a, b = parent["records"], change["records"]
     ga, gb = parent["polygons"], change["polygons"]
+    ca, cb = parent["cli"], change["cli"]
     if any(len(x) != len(y) or any(p["input"] != q["input"] for p, q in zip(x, y))
-           for x, y in ((a, b), (ga, gb))):
+           for x, y in ((a, b), (ga, gb), (ca, cb))):
         return ["inputs differ between the trees: gate FAILED"]
     target = change["residual_target"]
     status = anchor = iter_equal = iter_one_fewer = iter_fewer = iter_more = 0
@@ -225,9 +310,12 @@ def compare(parent: dict, change: dict) -> list[str]:
                 worst_res, worst_res_at = r, i
     differs = {f: sum(p.get(f) != q.get(f) for p, q in zip(ga, gb))
                for f in POLYGON_FIELDS}
+    cli_differs = {f: sum(p.get(f) != q.get(f) for p, q in zip(ca, cb)) for f in CLI_FIELDS}
+    first_cli = next((q["input"] for p, q in zip(ca, cb) if p != q), None)
     ok = (status == anchor == iter_more == residual_new == 0
           and worst_obj <= OBJECTIVE_RTOL
-          and not any(differs[f] for f in VERDICTS))
+          and not any(differs[f] for f in VERDICTS)
+          and not cli_differs["exit"])
 
     def where(i):
         return "" if i is None else f" ({b[i]['label']}, solve {i})"
@@ -244,6 +332,10 @@ def compare(parent: dict, change: dict) -> list[str]:
         f"polygons: {len(ga)}, identical records: {sum(p == q for p, q in zip(ga, gb))}",
         "polygon fields that differ: "
         + (", ".join(f"{f} {n}" for f, n in differs.items() if n) or "none"),
+        f"commands: {len(ca)}, identical records: {sum(p == q for p, q in zip(ca, cb))}",
+        "command fields that differ: "
+        + (", ".join(f"{f} {n}" for f, n in cli_differs.items() if n) or "none")
+        + ("" if first_cli is None else f" (first: {first_cli})"),
         "gate " + ("holds" if ok else "FAILED"),
     ]
 
