@@ -95,13 +95,16 @@ def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
     the center to vertex i (:class:`SpokeViolation` if any point strays from
     its spoke by more than 1e-9 of the circumradius).  Returns True when the
     solved median lands within ``tol`` * circumradius of the center.
+    Everything is taken in the polygon's own unit, so every polygon that
+    constructs can be checked.
     """
-    verts = G.vertices
+    u = G._unit
+    verts = G.vertices if u == 1.0 else G.vertices / u
     center = verts.mean(axis=0)
     spokes = verts - center
     radii = _lengths(spokes)
     R = float(radii.mean())
-    sides = G.side_lengths()
+    sides = _lengths(G._edges)
     if (np.abs(radii - R).max() > 1e-6 * R
             or float(sides.max() - sides.min()) > 1e-6 * R):
         raise VivianiError("polygon is not regular")
@@ -110,6 +113,8 @@ def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
         raise VivianiError(
             f"expected {verts.shape[0]} spoke points of dimension 2, got shape {pts.shape}"
         )
+    if u != 1.0:
+        pts = pts / u
     units = _directions(spokes)
     rel = pts - center
     along = _row_dots(rel, units)

@@ -32,6 +32,7 @@ from .geometry import (
     _directions,
     _lengths,
     _row_dots,
+    _scale_unit,
     _unit_box,
     as_vector,
     is_viviani,
@@ -182,10 +183,13 @@ def make_equiangular_polygon(side_lengths) -> ConvexPolygon:
     Edge i runs in direction (cos, sin) of angle 2*pi*i/k, starting at the
     origin, so every exterior angle equals 2*pi/k.  The lengths must close:
     sum of s_i * (cos, sin)(2*pi*i/k) must vanish within 1e-9 of the
-    perimeter, else :class:`ClosureViolation`.  Outward edge normals of the
-    result are the k equally spaced unit vectors, so the defect of the edge
-    set is at floating-point noise (a closure residual at the tolerance limit
-    leaks only into the final edge's normal).
+    perimeter, else :class:`ClosureViolation`.  A residual above its own
+    rounding error is then projected out of the sides, so the outward edge
+    normals of the result are the k equally spaced unit vectors and the
+    polygon is Viviani at any accepted residual; the projected sides must
+    stay positive (:class:`NonPositiveLength`).  The sides are divided by
+    the power of two of ``geometry._scale_unit`` for the longest before any
+    sum, so every finite input whose vertices are finite builds.
     """
     s = np.asarray(side_lengths, dtype=float).reshape(-1)
     k = s.size
@@ -195,17 +199,27 @@ def make_equiangular_polygon(side_lengths) -> ConvexPolygon:
         raise NonPositiveLength("side lengths must be finite")
     if np.any(s <= 0.0):
         raise NonPositiveLength("side lengths must be strictly positive")
+    u = _scale_unit(float(s.max()))
+    if u != 1.0:
+        s = s / u
     theta = 2.0 * np.pi * np.arange(k) / k
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     residual = s @ dirs
-    if float(_lengths(residual[None, :])[0]) > 1e-9 * float(s.sum()):
+    perimeter = float(s.sum())
+    miss = float(_lengths(residual[None, :])[0])
+    if miss > 1e-9 * perimeter:
         raise ClosureViolation(
-            f"side lengths do not close: residual {residual.tolist()} "
+            f"side lengths do not close: residual {(u * residual).tolist()} "
             f"exceeds 1e-9 of the perimeter"
         )
+    if miss > (k + 2) * 2.0 ** -52 * perimeter:
+        # the sides nearest to s that close: dirs.T @ dirs is k/2 times I
+        s = s - (2.0 / k) * (dirs @ residual)
+        if np.any(s <= 0.0):
+            raise NonPositiveLength("closing the side lengths leaves a side non-positive")
     steps = dirs * s[:, None]
     vertices = np.vstack([np.zeros(2), np.cumsum(steps[:-1], axis=0)])
-    return ConvexPolygon(vertices)
+    return ConvexPolygon(vertices if u == 1.0 else u * vertices)
 
 
 def regular_polygon(k: int, circumradius: float = 1.0, center=(0.0, 0.0),

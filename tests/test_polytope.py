@@ -230,6 +230,24 @@ class TestEquiangular:
         with pytest.raises(VivianiError):
             make_equiangular_polygon([1, 1])
 
+    @pytest.mark.parametrize("sides", [
+        [1 + 2.5e-9, 1, 1], [1, 1 + 2.5e-9, 1], [1 + 2e-9, 1, 1, 1, 1, 1],
+    ], ids=["first-side", "second-side", "hexagon"])
+    def test_accepted_residual_is_closed(self, sides):
+        # Every side list that passes the closure check gives an equiangular
+        # polygon, Viviani like every other (paper, Example 3), also when
+        # its residual is near the 1e-9 limit.
+        G = make_equiangular_polygon(sides)
+        assert is_viviani_polygon(G)
+        assert viviani_defect(polygon_to_hyperplanes(G)) <= 1e-15
+
+    def test_closing_must_leave_every_side_positive(self):
+        # The list nearly closes with its 1e-11 sides.  Side 0 longer by 4e-9
+        # leaves a residual that the check accepts, and projecting it out
+        # takes about 7e-10 from side 1.
+        with pytest.raises(NonPositiveLength):
+            make_equiangular_polygon([2 + 4e-9, 1e-11, 1, 1, 1, 1e-11])
+
     def test_random_closing_sides(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

@@ -333,6 +333,16 @@ class TestNearTheFloatMaximum:
             assert classify(G) is QuadrilateralClass.PARALLELOGRAM
             assert is_viviani_polygon(G)
 
+    def test_equiangular_polygon_of_the_largest_sides(self):
+        sides = np.full(3, 1e308)
+        G, H = make_equiangular_polygon(sides), make_equiangular_polygon(sides * TINY)
+        assert np.array_equal(G.vertices, H.vertices / TINY)
+        assert is_viviani_polygon(G)
+
+    def test_spoke_check_of_a_near_maximum_pentagon(self):
+        G = regular_polygon(5, circumradius=1.5e308)
+        assert spoke_points_median_check(G, G.vertices / 2)
+
     @pytest.mark.parametrize("name", list(NEAR_MAX) + list(NEAR_MAX_POLYGONS))
     def test_svg_equals_that_of_the_tiny_copy(self, name):
         if name in NEAR_MAX:
