@@ -93,6 +93,9 @@ class HyperplaneSet:
     normals: np.ndarray
     offsets: np.ndarray
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a HyperplaneSet with HyperplaneSet.from_arrays")
+
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperplaneSet is immutable; cannot set {name!r}")
 

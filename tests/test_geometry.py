@@ -58,7 +58,13 @@ class TestConstruction:
         with pytest.raises(VivianiError):
             HyperplaneSet.from_arrays(np.zeros((0, 2)), [])
 
-    def test_rows_are_read_only(self):
+    def test_from_arrays_is_the_only_constructor(self):
+        rows = list(unit_cube_planes())
+        for args in ((), (rows,)):
+            with pytest.raises(TypeError, match="HyperplaneSet.from_arrays"):
+                HyperplaneSet(*args)
+
+    def test_arrays_are_read_only(self):
         row = next(iter(HyperplaneSet.from_arrays([[0.6, 0.8]], [0.0])))
         with pytest.raises(ValueError):
             row.normal[0] = 5.0
@@ -125,7 +131,7 @@ class TestValue:
         x = rng.uniform(-4, 4, size=(10, 3))
         assert viviani_values(x, S) == pytest.approx(np.full(10, 3.0), abs=1e-12)
 
-    def test_values_match_a_sum_over_the_rows(self):
+    def test_values_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         S = random_hyperplane_set(rng, 3, 5)
         pts = rng.uniform(-2, 2, size=(7, 3))
@@ -299,7 +305,7 @@ class TestArrayStorage:
         assert S.normals.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert S.offsets.tolist() == [1.0, 2.0]
 
-    def test_iteration_yields_the_rows(self):
+    def test_rows_as_planes(self):
         # The contract that readers of ``doc.planes`` rely on: one row per
         # plane, with ``.normal`` and ``.offset``, on every pass.
         rng = np.random.default_rng(21)
@@ -338,11 +344,15 @@ class TestFromArraysErrors:
         return N, rng.uniform(-2.0, 2.0, size=self.ROWS)
 
     @pytest.mark.parametrize("row", [0, 17, 39])
-    @pytest.mark.parametrize("fault", [
-        "nan coordinate", "inf coordinate", "long normal", "slightly long normal",
-        "nan offset", "inf offset",
+    @pytest.mark.parametrize("fault, cls", [
+        ("nan coordinate", VivianiError),
+        ("inf coordinate", VivianiError),
+        ("long normal", NonUnitNormal),
+        ("slightly long normal", NonUnitNormal),
+        ("nan offset", VivianiError),
+        ("inf offset", VivianiError),
     ])
-    def test_first_bad_row_raises_its_error(self, fault, row):
+    def test_first_bad_row_raises_its_error(self, fault, cls, row):
         N, c = self.base()
         if fault == "nan coordinate":
             N[row, 1] = np.nan
@@ -357,11 +367,11 @@ class TestFromArraysErrors:
         else:
             c[row] = np.inf
         if fault.endswith("coordinate"):
-            want = VivianiError, "vector coordinates must be finite"
+            want = cls, "vector coordinates must be finite"
         elif fault.endswith("normal"):
-            want = NonUnitNormal, non_unit_message(N[row])
+            want = cls, non_unit_message(N[row])
         else:
-            want = VivianiError, "offset must be finite"
+            want = cls, "offset must be finite"
         if row < self.ROWS - 1:
             N[-1] *= 3.0  # a later bad row, with another message, must not win
         with pytest.raises(VivianiError) as err:
@@ -393,7 +403,7 @@ class TestFromArraysErrors:
                 HyperplaneSet.from_arrays(N, c)
             assert str(err.value) == message
 
-    def test_unit_threshold_is_inclusive_as_per_vector(self):
+    def test_unit_threshold_is_inclusive_as_per_plane(self):
         # The bulk check must accept and reject exactly the rows that the
         # single-vector test |np.linalg.norm(n) - 1| <= 1e-9 does, right at
         # the threshold: these norms lie within a few float spacings of
