@@ -266,14 +266,18 @@ def capture(tree: Path) -> dict:
             "polygons": polygons, "cli": _cli_records(tree)}
 
 
-def _run_capture(tree: Path) -> dict:
+def _run_captures(trees: list[Path]) -> list[dict]:
+    """Capture each tree in its own interpreter, all of them at once."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--capture", str(tree)],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: capture on {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    procs = [subprocess.Popen([sys.executable, __file__, "--capture", str(tree)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) for tree in trees]
+    outputs = [proc.communicate() for proc in procs]
+    for tree, proc, (_, err) in zip(trees, procs, outputs):
+        if proc.returncode != 0:
+            raise SystemExit(f"error: capture on {tree} failed:\n{err}")
+    return [json.loads(out) for out, _ in outputs]
 
 
 def compare(parent: dict, change: dict) -> list[str]:
@@ -358,7 +362,7 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give the parent tree and the change tree")
-    parent, change = (_run_capture(t.resolve()) for t in args.trees)
+    parent, change = _run_captures([t.resolve() for t in args.trees])
     lines = compare(parent, change)
     print("\n".join(lines))
     return 0 if lines[-1] == "gate holds" else 1
