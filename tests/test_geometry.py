@@ -10,20 +10,27 @@ from viviani import (
     HyperplaneSet,
     NonUnitNormal,
     VivianiError,
+    fermat_to_viviani,
     is_viviani,
     level_set_direction,
     normal_sum,
+    parse_document,
+    planes_document,
     polygon_to_hyperplanes,
+    regular_polygon,
+    serialize_document,
     tetrahedron_family,
     viviani_defect,
     viviani_gradient,
     viviani_values,
 )
-from viviani.geometry import _scale_unit, _unit_box
+import viviani.geometry as geometry
+from viviani.geometry import _directions, _lengths, _scale_unit, _unit_box
 from viviani.polytope import ConvexPolygon, make_equiangular_polygon
 
 from helpers import (
     affinely_independent_points,
+    count_calls,
     equilateral_triangle,
     random_hyperplane_set,
     random_unit,
@@ -428,8 +435,6 @@ class TestFromArraysErrors:
     ):
         # Should the vectorised norm screen ever flag a row that the row
         # check accepts, a later bad row must still raise.
-        import viviani.geometry as geometry
-
         screen = geometry._unit_deviation
         monkeypatch.setattr(geometry, "_unit_deviation",
                             lambda N: screen(N) + (np.arange(len(N)) == 0))
@@ -438,6 +443,37 @@ class TestFromArraysErrors:
         c[17] = np.nan
         with pytest.raises(VivianiError, match="offset must be finite"):
             HyperplaneSet.from_arrays(N, c)
+
+
+class TestNoPerPlaneObjects:
+    """The hot paths build arrays; only iterating a set builds one
+    :class:`Plane` per row."""
+
+    def test_fermat_to_viviani(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        half = rng.normal(size=(5000, 3))
+        pts = np.vstack([half, -half])  # the origin's spokes cancel exactly
+        calls = count_calls(monkeypatch, geometry, "Plane")
+        S = fermat_to_viviani(pts, np.zeros(3))
+        assert len(S) == 10_000 and len(calls) == 0
+
+    def test_document_round_trip(self, monkeypatch):
+        S = random_hyperplane_set(np.random.default_rng(26), 3, 10_000)
+        calls = count_calls(monkeypatch, geometry, "Plane")
+        text = serialize_document(planes_document(S))
+        again = parse_document(text)
+        assert serialize_document(again) == text
+        assert len(calls) == 0
+
+    def test_polygon_to_hyperplanes(self, monkeypatch):
+        calls = count_calls(monkeypatch, geometry, "Plane")
+        S = polygon_to_hyperplanes(regular_polygon(12, 3.0))
+        assert len(S) == 12 and len(calls) == 0
+
+    def test_counter_sees_per_plane_construction(self, monkeypatch):
+        calls = count_calls(monkeypatch, geometry, "Plane")
+        rows = list(HyperplaneSet.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0]))
+        assert len(calls) == 2 and rows[1].offset == 2.0
 
 
 class TestScaleUnit:
@@ -470,3 +506,16 @@ class TestScaleUnit:
         u, lo, hi = _unit_box(A)
         assert u == 1.0
         assert np.array_equal(lo, A.min(axis=0)) and np.array_equal(hi, A.max(axis=0))
+
+    @pytest.mark.parametrize("raw, unit", [
+        ((1e-13, 0.0), [1.0, 0.0]),
+        ((1e-300, 0.0), [1.0, 0.0]),
+        ((5e-324, 0.0), [1.0, 0.0]),
+        ((1e300, 1e300), [math.sqrt(0.5), math.sqrt(0.5)]),
+    ], ids=["1e-13", "1e-300", "5e-324", "1e300"])
+    def test_directions_of_any_length(self, raw, unit):
+        # only the zero vector has no direction; a point-space length
+        # threshold, or squaring before scaling, rejected these
+        A = np.array([raw])  # one row: the unit is that of its own length
+        assert _directions(A)[0].tolist() == pytest.approx(unit, abs=1e-15)
+        assert _lengths(A)[0] == pytest.approx(math.hypot(*raw), rel=1e-15)
