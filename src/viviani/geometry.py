@@ -106,9 +106,16 @@ class HyperplaneSet:
         Both are copied.  The first bad row raises: a NaN or infinite
         normal coordinate :class:`VivianiError`, a normal whose length is
         not 1 within 1e-9 :class:`NonUnitNormal`, an infinite or NaN offset
-        :class:`VivianiError`, checked in that order.
+        :class:`VivianiError`, checked in that order.  Normal rows of
+        different lengths raise :class:`DimensionMismatch`.
         """
-        return cls._own(np.array(normals, dtype=float), np.array(offsets, dtype=float))
+        try:
+            normals = np.array(normals, dtype=float)
+        except ValueError:
+            if len({np.shape(row) for row in normals}) > 1:
+                raise DimensionMismatch("mixed dimensions in hyperplane set") from None
+            raise
+        return cls._own(normals, np.array(offsets, dtype=float))
 
     @classmethod
     def _own(cls, normals: np.ndarray, offsets: np.ndarray) -> "HyperplaneSet":

@@ -209,8 +209,8 @@ def make_equiangular_polygon(side_lengths) -> ConvexPolygon:
     miss = float(_lengths(residual[None, :])[0])
     if miss > 1e-9 * perimeter:
         raise ClosureViolation(
-            f"side lengths do not close: residual {(u * residual).tolist()} "
-            f"exceeds 1e-9 of the perimeter"
+            f"side lengths do not close: residual {miss / perimeter:.3g} "
+            f"of the perimeter exceeds 1e-9"
         )
     if miss > (k + 2) * 2.0 ** -52 * perimeter:
         # the sides nearest to s that close: dirs.T @ dirs is k/2 times I

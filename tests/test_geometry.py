@@ -65,6 +65,10 @@ class TestConstruction:
         with pytest.raises(VivianiError):
             HyperplaneSet.from_arrays(np.zeros((0, 2)), [])
 
+    def test_set_requires_uniform_dimension(self):
+        with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+            HyperplaneSet.from_arrays([[1.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 0.0])
+
     def test_from_arrays_is_the_only_constructor(self):
         rows = list(unit_cube_planes())
         for args in ((), (rows,)):
@@ -350,6 +354,7 @@ class TestFromArraysErrors:
         N /= np.linalg.norm(N, axis=1)[:, None]
         return N, rng.uniform(-2.0, 2.0, size=self.ROWS)
 
+    @pytest.mark.parametrize("later", ["nan coordinate", "long normal"])
     @pytest.mark.parametrize("row", [0, 17, 39])
     @pytest.mark.parametrize("fault, cls", [
         ("nan coordinate", VivianiError),
@@ -359,7 +364,7 @@ class TestFromArraysErrors:
         ("nan offset", VivianiError),
         ("inf offset", VivianiError),
     ])
-    def test_first_bad_row_raises_its_error(self, fault, cls, row):
+    def test_first_bad_row_raises_its_error(self, fault, cls, row, later):
         N, c = self.base()
         if fault == "nan coordinate":
             N[row, 1] = np.nan
@@ -379,8 +384,13 @@ class TestFromArraysErrors:
             want = cls, non_unit_message(N[row])
         else:
             want = cls, "offset must be finite"
-        if row < self.ROWS - 1:
-            N[-1] *= 3.0  # a later bad row, with another message, must not win
+        # A later bad row must not win: a NaN, which a whole-array finiteness
+        # check would report first, or a normal of length 3, whose message
+        # differs from every fault above.
+        if row < self.ROWS - 1 and later == "nan coordinate":
+            N[-1, 0] = np.nan
+        elif row < self.ROWS - 1:
+            N[-1] *= 3.0
         with pytest.raises(VivianiError) as err:
             HyperplaneSet.from_arrays(N, c)
         assert (type(err.value), str(err.value)) == want

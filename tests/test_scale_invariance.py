@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from viviani import (
+    ClosureViolation,
     ConvexPolygon,
     MedianStatus,
     QuadrilateralClass,
@@ -338,6 +339,12 @@ class TestNearTheFloatMaximum:
         G, H = make_equiangular_polygon(sides), make_equiangular_polygon(sides * TINY)
         assert np.array_equal(G.vertices, H.vertices / TINY)
         assert is_viviani_polygon(G)
+
+    def test_sides_near_the_maximum_that_do_not_close(self):
+        sides = np.ones(12)
+        sides[[0, 1, 11]] = 1.7e308
+        with pytest.raises(ClosureViolation, match="of the perimeter exceeds 1e-9"):
+            make_equiangular_polygon(sides)
 
     def test_spoke_check_of_a_near_maximum_pentagon(self):
         G = regular_polygon(5, circumradius=1.5e308)
