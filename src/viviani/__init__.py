@@ -62,7 +62,6 @@ from .duality import (
     spoke_points_median_check,
     viviani_to_fermat,
 )
-from .gridsearch import grid_median
 from .document import (
     ConfigDocument,
     load_document,

@@ -164,7 +164,7 @@ def _cmd_value(args, out) -> int:
 def _median_obj(result) -> dict:
     return {
         "point": [float(x) for x in result.point],
-        "objective": result.objective,
+        "objective": result.objective if math.isfinite(result.objective) else None,
         "status": result.status.value,
         "residual": result.residual,
         "iterations": result.iterations,
@@ -175,7 +175,7 @@ def _median_obj(result) -> dict:
 def _cmd_median(args, out) -> int:
     pts = _points_of(_load(args.file))
     result = geometric_median(pts, tol=args.tol, max_iter=args.max_iter)
-    print(json.dumps(_median_obj(result), indent=2), file=out)
+    print(json.dumps(_median_obj(result), indent=2, allow_nan=False), file=out)
     return EXIT_OK
 
 

@@ -39,6 +39,9 @@ FERMAT_CERT_FACTOR = 1e-6
 #: One-sidedness allows signed distances ``c - n.P`` to cross zero by this
 #: much relative to the magnitudes ``|c| + |n|.|P|`` of their operands.
 ONE_SIDED_SLACK = 1e-12
+#: ``spoke_points_median_check`` accepts a median within this multiple of
+#: the circumradius of the polygon's center.
+SPOKE_CENTER_TOL = 1e-6
 
 
 def fermat_to_viviani(A, P) -> HyperplaneSet:
@@ -87,14 +90,15 @@ def viviani_to_fermat(S: HyperplaneSet, P, tol: float = 1e-9) -> PointSet:
     return PointSet(feet)
 
 
-def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
+def spoke_points_median_check(G: ConvexPolygon, B) -> bool:
     """Whether the median of spoke points recovers a regular polygon's center.
 
     ``G`` must be a regular polygon (center = vertex centroid); ``B`` lists
     one point per vertex, with ``B[i]`` on the open-to-closed segment from
     the center to vertex i (:class:`SpokeViolation` if any point strays from
     its spoke by more than 1e-9 of the circumradius).  Returns True when the
-    solved median lands within ``tol`` * circumradius of the center.
+    solved median lands within ``SPOKE_CENTER_TOL`` * circumradius of the
+    center.
     Everything is taken in the polygon's own unit, so every polygon that
     constructs can be checked.
     """
@@ -125,4 +129,4 @@ def spoke_points_median_check(G: ConvexPolygon, B, tol: float = 1e-6) -> bool:
         raise SpokeViolation(f"point {int(bad.argmax())} is not on its "
                              f"center-to-vertex segment")
     result = geometric_median(pts)
-    return bool(_lengths((result.point - center)[None, :])[0] <= tol * R)
+    return bool(_lengths((result.point - center)[None, :])[0] <= SPOKE_CENTER_TOL * R)

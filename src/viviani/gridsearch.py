@@ -1,17 +1,14 @@
-"""Planar 1-median by grid scan: the reference that cross-checks the solver.
+"""Planar 1-median by grid scan, a reference that shares no code path with
+Weiszfeld iteration.
 
-It shares no code path with Weiszfeld iteration.  The initial grid covers
-the bounding box of the input points (the minimizer lies in their convex
-hull) at the requested step; each refinement round re-scans a +/-2-cell
-window around the incumbent at 10x resolution.
+Only the benchmark's trace-mode cross-check (``perfbench``) still runs it;
+the tests judge the solver by the duality gap and by closed forms.  This
+module stays until the benchmark's next change drops that check.
 
-Each scan is ``kernels.grid_min_2d``, a pruned scan that is exact with
-respect to the full one.  The distance sum is k-Lipschitz, so a block of
-cells whose centre value, less k times the distance to its farthest cell and
-a rounding margin 2δ, still lies strictly above the best value found so far
-holds no minimum and is skipped.  Cells tied at the minimum are never
-skipped, so value and cell are those of a scan of every cell, bit for bit.
-The bound, δ and the tie argument are stated in ``kernels``.
+The initial grid covers the bounding box of the input points (the minimizer
+lies in their convex hull) at the requested step; each refinement round
+re-scans a +/-2-cell window around the incumbent at 10x resolution.  Each
+scan is ``kernels.grid_min_2d``, looked up in this module at call time.
 """
 
 from __future__ import annotations
@@ -24,10 +21,11 @@ from .errors import DimensionMismatch, VivianiError
 from .kernels import grid_min_2d
 
 _PAD_CELLS = 2
+_REFINE_FACTOR = 10
 
 
-def grid_median(points, step: float = 1e-3, refine_rounds: int = 3,
-                refine_factor: int = 10) -> tuple[np.ndarray, float]:
+def grid_median(points, step: float = 1e-3,
+                refine_rounds: int = 3) -> tuple[np.ndarray, float]:
     """Return ``(point, objective)`` minimizing the distance sum on the grid.
 
     ``points`` is a (k, 2) array-like.  The result is an upper bound on the
@@ -54,8 +52,8 @@ def grid_median(points, step: float = 1e-3, refine_rounds: int = 3,
     for _ in range(refine_rounds):
         x0 = bx - _PAD_CELLS * step
         y0 = by - _PAD_CELLS * step
-        step = step / refine_factor
-        m = 2 * _PAD_CELLS * refine_factor + 1
+        step = step / _REFINE_FACTOR
+        m = 2 * _PAD_CELLS * _REFINE_FACTOR + 1
         val, bix, biy = grid_min_2d(px, py, x0, y0, m, m, step)
         if val < best:
             best = val

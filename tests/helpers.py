@@ -1,8 +1,92 @@
-"""Shared random generators for the test suite (all seeded by the caller)."""
+"""Shared random generators (all seeded by the caller) and exact median
+oracles for the test suite."""
+
+import importlib.util
+import math
+from pathlib import Path
 
 import numpy as np
 
-from viviani import ConvexPolygon, HyperplaneSet, InvalidPolygon
+from viviani import ConvexPolygon, HyperplaneSet, InvalidPolygon, MedianStatus
+
+
+def _load_checks():
+    """``perfbench/checks.py``, loaded from its file: it recomputes every
+    check from the inputs and imports nothing of ``viviani``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("_independent_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Relative weak-duality gap of a point as a median (0 at the optimum); see
+#: ``perfbench/checks.py``.
+median_gap = _load_checks().median_gap
+
+
+def _cross(o, a, b) -> float:
+    """Twice the signed area of the triangle (o, a, b)."""
+    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def torricelli_point(pts):
+    """Fermat point of three non-collinear planar points, as
+    ``(point, vertex)``.
+
+    A vertex whose angle is at least 120 degrees is the answer, and
+    ``vertex`` is its index.  Otherwise the answer is the isogonic centre,
+    with barycentric weights ``a / sin(A + pi/3)`` (``a`` the side opposite
+    vertex A, ``A`` its angle), and ``vertex`` is None.
+    """
+    P = np.asarray(pts, dtype=float)
+    sides, angles = [], []
+    for i in range(3):
+        o, b, c = P[i], P[(i + 1) % 3], P[(i + 2) % 3]
+        sides.append(math.dist(b, c))
+        angles.append(math.atan2(abs(_cross(o, b, c)), float((b - o) @ (c - o))))
+    for i, A in enumerate(angles):
+        if A >= 2.0 * math.pi / 3.0:
+            return P[i].copy(), i
+    w = np.array([a / math.sin(A + math.pi / 3.0) for a, A in zip(sides, angles)])
+    return w @ P / w.sum(), None
+
+
+def quadrilateral_median(pts):
+    """Geometric median of four planar points, no three collinear, as
+    ``(point, vertex)``.
+
+    A point inside the triangle of the other three is the answer, and
+    ``vertex`` is its index.  Otherwise the points are in convex position
+    and the answer is the crossing of the diagonals, the one pair of
+    segments between them that cross; ``vertex`` is None.  Each diagonal's
+    two distances sum to its length there, which no point can beat.
+    """
+    P = np.asarray(pts, dtype=float)
+    for i in range(4):
+        a, b, c = (P[j] for j in range(4) if j != i)
+        s = (_cross(a, b, P[i]), _cross(b, c, P[i]), _cross(c, a, P[i]))
+        if min(s) >= 0.0 or max(s) <= 0.0:
+            return P[i].copy(), i
+    for i, j, k, m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        ci, cj = _cross(P[k], P[m], P[i]), _cross(P[k], P[m], P[j])
+        if ci * cj < 0.0 and _cross(P[i], P[j], P[k]) * _cross(P[i], P[j], P[m]) < 0.0:
+            return P[i] + ci / (ci - cj) * (P[j] - P[i]), None
+    raise AssertionError("four points in convex position have crossing diagonals")
+
+
+def assert_median_answer(pts, result):
+    """The solver's answer ``result`` for the planar, non-collinear ``pts``
+    is not collinear and has a duality gap of at most 1e-10; for k = 3 or 4
+    it lies within 1e-9 of the exact answer, and it is an anchor exactly
+    when that answer is a vertex, the same one."""
+    assert result.status is not MedianStatus.NON_UNIQUE_COLLINEAR
+    assert median_gap(pts, result.point) <= 1e-10
+    k = len(pts)
+    if k in (3, 4):
+        point, vertex = (torricelli_point if k == 3 else quadrilateral_median)(pts)
+        assert np.linalg.norm(result.point - point) <= 1e-9
+        assert result.anchor_index == vertex
 
 
 def count_calls(monkeypatch, owner, name) -> list:

@@ -22,7 +22,6 @@ from viviani import (
     direction_sum_at,
     fermat_to_viviani,
     geometric_median,
-    grid_median,
     is_viviani_polygon,
     level_set_direction,
     make_equiangular_polygon,
@@ -43,6 +42,7 @@ from viviani.polytope import ConvexPolygon
 
 from helpers import (
     affinely_independent_points,
+    assert_median_answer,
     closing_equiangular_sides,
     equilateral_triangle,
     random_convex_quadrilateral,
@@ -62,15 +62,13 @@ def report(num: int, label: str):
 
 @pytest.fixture(scope="module")
 def median_instances():
-    """200 seeded 2-D instances (k in 3..8) solved with history and oracle."""
+    """200 seeded 2-D instances (k in 3..8) solved with history."""
     rng = np.random.default_rng(2024)
     out = []
     for _ in range(200):
         k = int(rng.integers(3, 9))
         pts = rng.uniform(-1.0, 1.0, size=(k, 2))
-        result = geometric_median(pts, record_history=True)
-        _, oracle_obj = grid_median(pts)
-        out.append((pts, result, oracle_obj))
+        out.append((pts, geometric_median(pts, record_history=True)))
     return out
 
 
@@ -160,17 +158,20 @@ def test_tetrahedron_family_cancels():
     report(7, "tetrahedron family cancels across its parameter range")
 
 
-def test_median_beats_grid_oracle(median_instances):
-    for pts, result, oracle_obj in median_instances:
-        assert result.objective <= oracle_obj + 1e-6
+def test_median_matches_exact_oracles(median_instances):
+    # The gap is weak duality, computed apart from the solver; k = 3 and 4
+    # have closed forms.
+    for pts, result in median_instances:
+        assert_median_answer(pts, result)
         h = np.array(result.history)
         assert np.all(np.diff(h) <= 1e-12)
-    report(8, "solver matches the brute-force oracle, descending monotonically")
+    report(8, "medians within a 1e-10 duality gap and on the exact 3- and 4-point "
+              "answers, descending monotonically")
 
 
 def test_interior_certificate(median_instances):
     interior = 0
-    for pts, result, _ in median_instances:
+    for pts, result in median_instances:
         if result.status is MedianStatus.INTERIOR_OPTIMUM:
             k = pts.shape[0]
             assert np.linalg.norm(direction_sum_at(result.point, pts)) <= k * 1e-8

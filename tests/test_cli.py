@@ -100,6 +100,22 @@ class TestMedian:
         code, _, _ = run(capsys, "median", CUBE)
         assert code == 3
 
+    def test_objective_beyond_float_range_is_null(self, capsys, tmp_path):
+        # The distance sum overflows; strict JSON has no Infinity to print.
+        doc = tmp_path / "far.json"
+        doc.write_text('{"dimension": 2, "points": '
+                       '[[-1e308, 0], [1e308, 0], [0, 1e308], [3e307, -5e307]]}')
+        code, out, _ = run(capsys, "median", str(doc))
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["objective"] is None
+        assert payload["status"] == "interior_optimum"
+        assert all(math.isfinite(x) for x in payload["point"])
+
     @pytest.mark.parametrize("argv", [
         ["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"], ["--max-iter", "-2"],
     ], ids=["tol=-1", "tol=nan", "max-iter=0", "max-iter=-2"])

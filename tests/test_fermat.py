@@ -21,11 +21,17 @@ from viviani import (
     direction_sum_at,
     fermat_to_viviani,
     geometric_median,
-    grid_median,
     total_distance,
 )
 
-from helpers import count_calls, equilateral_triangle, random_unit, rotation_2d
+from helpers import (
+    assert_median_answer,
+    count_calls,
+    equilateral_triangle,
+    random_unit,
+    rotation_2d,
+    torricelli_point,
+)
 
 #: The fixed planar set whose rescaled copies the median benchmark solves.
 SCALE_BASE = np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.5], [2.2, -1.3], [-0.7, 1.1]])
@@ -153,9 +159,9 @@ class TestGeometricMedian:
         others = pts[1:] - pts[0]
         cert = np.linalg.norm((others / np.linalg.norm(others, axis=1)[:, None]).sum(axis=0))
         assert cert <= 1.0 + 1e-9
-        # brute force agrees the anchor is best
-        _, obj = grid_median(pts, step=1e-2)
-        assert res.objective <= obj + 1e-6
+        # the angle at point 0 exceeds 120 degrees: Torricelli's point is it
+        assert torricelli_point(pts)[1] == 0
+        assert_median_answer(pts, res)
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},
@@ -177,8 +183,9 @@ class TestGeometricMedian:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         res = geometric_median(pts)
         assert res.status is MedianStatus.INTERIOR_OPTIMUM
-        _, obj = grid_median(pts)
-        assert res.objective <= obj + 1e-6
+        # every angle is below 120 degrees: the isogonic centre
+        assert torricelli_point(pts)[1] is None
+        assert_median_answer(pts, res)
 
     def test_single_point(self):
         res = geometric_median(np.array([[2.0, 3.0]]))
@@ -279,9 +286,7 @@ class TestSolverProperties:
         for _ in range(20):
             k = int(rng.integers(3, 9))
             pts = rng.uniform(-1, 1, size=(k, 2))
-            res = geometric_median(pts)
-            _, obj = grid_median(pts)
-            assert res.objective <= obj + 1e-6
+            assert_median_answer(pts, geometric_median(pts))
 
     def test_rigid_equivariance(self):
         rng = np.random.default_rng(16)
@@ -520,9 +525,21 @@ class TestNewtonPolish:
 
         monkeypatch.setattr(fermat, "_newton_polish", watched)
         calls = count_distance_passes(monkeypatch)
-        geometric_median(pts)
+        X = geometric_median(pts).point
         assert len(calls) <= 60
         assert changes and max(changes) <= 0.0
+        # The solver centres the points first, so only a direct call on the
+        # uncentred points reaches that exit: at the solver's point the
+        # first Newton step rounds back to X, and X is returned with no
+        # distance pass beyond the one taken here for the input.
+        calls.clear()
+        diff = pts - X
+        d = fermat._distances(diff)
+        eta = fermat.ANCHOR_ETA * norm(np.ptp(pts, axis=0))
+        out = polish(pts, X, eta, None, diff, d, np.empty_like(pts),
+                     passes=lambda i: False)
+        assert len(calls) == 1
+        assert out[0] is X and out[3] is None
 
     def test_anchor_crawl_ends_in_few_evaluations(self, monkeypatch):
         # Weiszfeld contracts slowly here, and a Newton step started early

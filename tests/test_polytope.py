@@ -471,17 +471,31 @@ class TestPolytopeH:
             again = ConvexPolytopeH(tetrahedron_family(float(t))).interior_point()
             assert again.tobytes() == poly.interior_point().tobytes()
 
-    def test_import_loads_no_scipy(self):
-        # scipy is imported on the first ConvexPolytopeH construction only.
+    @staticmethod
+    def modules_after_import() -> list[str]:
+        """``sys.modules`` of a fresh interpreter after ``import viviani,
+        viviani.cli``."""
         src = str(Path(viviani.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        code = ("import sys, viviani, viviani.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = "import sys, viviani, viviani.cli; print('\\n'.join(sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.split()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on the first ConvexPolytopeH construction only.
+        modules = self.modules_after_import()
+        assert "viviani.cli" in modules
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+    def test_import_loads_no_grid(self):
+        # Only the benchmark's trace-mode cross-check imports the grid.
+        modules = self.modules_after_import()
+        assert "viviani.cli" in modules
+        assert "viviani.gridsearch" not in modules
+        assert "viviani.kernels" not in modules
 
 
 class TestRegularPolygon:
